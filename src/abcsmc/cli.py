@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +30,6 @@ from .core import (
     InferenceConfig,
     IntegerWalk,
     KernelSpec,
-    Particle,
     Population,
     PriorSpec,
     ToleranceSchedule,
@@ -217,7 +215,7 @@ def _resolve_setup(cfg: RunConfig, need_models: bool = True) -> Setup:
 
 
 def _inference_config(cfg: RunConfig, setup: Setup, dataset: Dataset,
-                      seed: int, workers: int) -> InferenceConfig:
+                      seed: int) -> InferenceConfig:
     eps = tuple(cfg.floats("epsilons")) if "epsilons" in cfg.values else tuple(setup.epsilons)
     distance = cfg.get("distance", setup.distance)
     if distance not in DISTANCES:
@@ -234,7 +232,6 @@ def _inference_config(cfg: RunConfig, setup: Setup, dataset: Dataset,
             sim_trials=cfg.intval("sim_trials", setup.sim_trials),
             replicates=cfg.intval("replicates", setup.replicates),
             seed=seed,
-            workers=workers,
             max_proposals_per_population=cfg.intval("max_proposals"),
         )
     except ConfigError as e:
@@ -307,48 +304,48 @@ def _param_columns(models) -> list[str]:
 
 def write_population_csv(population: Population, models, path: str) -> None:
     cols = _param_columns(models)
-    selection = any(p.model is not None for p in population.particles)
+    selection = len(models) > 1
     header = cols + ["weight"] + (["model"] if selection else []) + ["distance"]
+    rows: list = [None] * len(population)
+    for label, thetas in population.blocks.items():
+        names = models[label - 1].param_names
+        for i, theta in zip(np.flatnonzero(population.labels == label), thetas):
+            by_name = dict(zip(names, theta))
+            rows[i] = [(_fmt(by_name[c]) if c in by_name else "NA") for c in cols]
     lines = [",".join(header)]
-    for p in population.particles:
-        model = models[(p.model or 1) - 1]
-        by_name = dict(zip(model.param_names, p.theta))
-        cells = [(_fmt(by_name[c]) if c in by_name else "NA") for c in cols]
-        cells.append(_fmt(p.weight))
-        if selection:
-            cells.append(str(p.model))
-        cells.append(_fmt(p.distance if p.distance is not None else math.nan))
+    for cells, w, label, d in zip(rows, population.weight, population.labels,
+                                  population.distance):
+        cells += [_fmt(w)] + ([str(label)] if selection else []) + [_fmt(d)]
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_population_csv(path: str) -> tuple[list[str], list[Particle]]:
-    rows = [r for r in Path(path).read_text().splitlines() if r.strip()]
-    header = rows[0].split(",")
-    has_model = "model" in header
-    names = [h for h in header if h not in ("weight", "model", "distance")]
-    particles = []
-    for row in rows[1:]:
-        cells = row.split(",")
-        rec = dict(zip(header, cells))
-        theta = np.array([float(rec[n]) for n in names if rec[n] != "NA"])
-        particles.append(
-            Particle(
-                theta=theta,
-                weight=float(rec["weight"]),
-                model=int(rec["model"]) if has_model else None,
-                distance=float(rec["distance"]),
-            )
-        )
-    return names, particles
+def read_population_csv(path: str) -> tuple[dict[int, list[str]], Population]:
+    """Parameter names per model label, and the population.
+
+    A model's parameters are the columns that are not NA in its rows.  The
+    tolerance and the ledger are not stored in the file and read back as
+    NaN and 0.
+    """
+    rows = [r.split(",") for r in Path(path).read_text().splitlines() if r.strip()]
+    header = rows[0]
+    recs = [dict(zip(header, cells)) for cells in rows[1:]]
+    cols = [h for h in header if h not in ("weight", "model", "distance")]
+    labels = np.array([int(r.get("model", 1)) for r in recs], dtype=int)
+    names, blocks = {}, {}
+    for label in sorted(set(labels.tolist())):
+        mine = [r for r, m in zip(recs, labels) if m == label]
+        names[label] = [c for c in cols if mine[0][c] != "NA"]
+        blocks[label] = np.array([[float(r[c]) for c in names[label]] for r in mine])
+    weight = np.array([float(r["weight"]) for r in recs])
+    distance = np.array([float(r["distance"]) for r in recs])
+    return names, Population(labels, blocks, weight, distance, math.nan, 0, 0)
 
 
 def write_run_ledger(populations: Sequence[Population], path: str) -> None:
     lines = ["population,epsilon,accepted,proposals,cumulative_sims"]
     for p in populations:
-        lines.append(
-            f"{p.index},{_fmt(p.epsilon)},{len(p.particles)},{p.proposals},{p.sim_count}"
-        )
+        lines.append(f"{p.index},{_fmt(p.epsilon)},{len(p)},{p.proposals},{p.sim_count}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -365,11 +362,10 @@ def _config_digest(cfg: RunConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def write_stamp(out: Path, cfg: RunConfig, seed: int, workers: int, partial: bool = False) -> None:
+def write_stamp(out: Path, cfg: RunConfig, seed: int, partial: bool = False) -> None:
     stamp = {
         "config_sha256": _config_digest(cfg),
         "seed": seed,
-        "workers": workers,
         "version": __version__,
         "partial": partial,
     }
@@ -393,14 +389,9 @@ def write_stamp(out: Path, cfg: RunConfig, seed: int, workers: int, partial: boo
 
 def _common_run_prep(cfg: RunConfig, args):
     seed = args.seed if args.seed is not None else cfg.intval("seed", 0)
-    workers = (
-        args.workers
-        if args.workers is not None
-        else cfg.intval("workers", int(os.environ.get("ABCSMC_WORKERS", "1")))
-    )
     out = Path(args.out or cfg.get("out", "results"))
     out.mkdir(parents=True, exist_ok=True)
-    return seed, workers, out
+    return seed, out
 
 
 def _load_run_dataset(cfg: RunConfig, setup: Setup) -> Dataset:
@@ -419,9 +410,9 @@ def _run_infer(cfg: RunConfig, args) -> int:
     setup = _resolve_setup(cfg)
     if len(setup.models) != 1:
         raise ConfigError("task 'infer' takes a single model; use 'select' for several")
-    seed, workers, out = _common_run_prep(cfg, args)
+    seed, out = _common_run_prep(cfg, args)
     dataset = _load_run_dataset(cfg, setup)
-    icfg = _inference_config(cfg, setup, dataset, seed, workers)
+    icfg = _inference_config(cfg, setup, dataset, seed)
     partial = False
     try:
         result = abc_smc(icfg)
@@ -433,7 +424,7 @@ def _run_infer(cfg: RunConfig, args) -> int:
     for pop in populations:
         write_population_csv(pop, setup.models, out / f"population_{pop.index:02d}.csv")
     write_run_ledger(populations, out / "run_ledger.csv")
-    write_stamp(out, cfg, seed, workers, partial)
+    write_stamp(out, cfg, seed, partial)
     return EXIT_BUDGET if partial else EXIT_OK
 
 
@@ -441,9 +432,9 @@ def _run_select(cfg: RunConfig, args) -> int:
     setup = _resolve_setup(cfg)
     if len(setup.models) < 2:
         raise ConfigError("task 'select' needs a setup with at least two models")
-    seed, workers, out = _common_run_prep(cfg, args)
+    seed, out = _common_run_prep(cfg, args)
     dataset = _load_run_dataset(cfg, setup)
-    icfg = _inference_config(cfg, setup, dataset, seed, workers)
+    icfg = _inference_config(cfg, setup, dataset, seed)
     partial = False
     try:
         result = abc_smc_model_selection(icfg)
@@ -458,7 +449,7 @@ def _run_select(cfg: RunConfig, args) -> int:
     write_run_ledger(result.populations, out / "run_ledger.csv")
     if result.populations:
         write_model_counts(result, out / "model_counts.csv")
-    write_stamp(out, cfg, seed, workers, partial)
+    write_stamp(out, cfg, seed, partial)
     return EXIT_BUDGET if partial else EXIT_OK
 
 
@@ -475,13 +466,13 @@ def _run_simulate(cfg: RunConfig, args) -> int:
     if "times" not in cfg.values:
         raise ConfigError(f"{cfg.path}: 'times =' is required for task 'simulate'")
     times = np.array(cfg.floats("times"))
-    seed, workers, out = _common_run_prep(cfg, args)
+    seed, out = _common_run_prep(cfg, args)
     traj = simulate_model(model, theta, times, task_rng(seed))
     lines = ["t," + ",".join(model.species)]
     for i, t in enumerate(times):
         lines.append(",".join([_fmt(t)] + [_fmt(v) for v in traj.states[i]]))
     (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
-    write_stamp(out, cfg, seed, workers)
+    write_stamp(out, cfg, seed)
     return EXIT_OK
 
 
@@ -495,11 +486,11 @@ def _run_generate(cfg: RunConfig, args) -> int:
     times = np.array(cfg.floats("times")) if "times" in cfg.values else recipe.times
     noise = cfg.floatval("noise_sd", recipe.noise_sd)
     replicates = cfg.intval("replicates", recipe.replicates)
-    seed, workers, out = _common_run_prep(cfg, args)
+    seed, out = _common_run_prep(cfg, args)
     recipe = DataRecipe(model, true_theta, times, noise, replicates)
     dataset = generate_data(recipe, task_rng(seed))
     write_dataset(dataset, out / "dataset.csv")
-    write_stamp(out, cfg, seed, workers)
+    write_stamp(out, cfg, seed)
     return EXIT_OK
 
 
@@ -508,32 +499,22 @@ def _run_analyze(cfg: RunConfig, args) -> int:
     pop_files = sorted(run_dir.glob("population_*.csv"))
     if not pop_files:
         raise ConfigError(f"no population CSVs found in {run_dir}")
-    seed, workers, out = _common_run_prep(cfg, args)
-    all_pops = []
-    names = None
+    _, out = _common_run_prep(cfg, args)
+    pops = []
     for f in pop_files:
-        names, particles = read_population_csv(str(f))
-        all_pops.append(Population(particles, epsilon=math.nan, index=len(all_pops), sim_count=0))
-    final = all_pops[-1]
-    labels = final.models_present() or [None]
+        names, pop = read_population_csv(str(f))
+        pops.append(pop)
+    final = pops[-1]
+    labels = final.models_present()
 
     summary_lines = ["model,parameter,q025,median,q975"]
     for label in labels:
-        some = [p for p in final.particles if p.model == label]
-        model_names = names if label is None else None
-        k = len(some[0].theta)
         stats = posterior_summary(final, model=label)
-        for j in range(k):
-            pname = names[j] if model_names else f"p{j}"
-            summary_lines.append(
-                f"{label if label is not None else 1},{pname},"
-                f"{_fmt(stats[j, 0])},{_fmt(stats[j, 1])},{_fmt(stats[j, 2])}"
-            )
+        for pname, (lo, med, hi) in zip(names[label], stats):
+            summary_lines.append(f"{label},{pname},{_fmt(lo)},{_fmt(med)},{_fmt(hi)}")
     (out / "summary.csv").write_text("\n".join(summary_lines) + "\n")
 
-    pca_lines = ["component,eigenvalue,fraction," + ",".join(
-        names if labels == [None] else [f"p{j}" for j in range(len(final.particles[0].theta))]
-    )]
+    pca_lines = ["component,eigenvalue,fraction," + ",".join(names[labels[0]])]
     report = pca_sensitivity(final, model=labels[0])
     for i in range(len(report.eigenvalues)):
         pca_lines.append(
@@ -542,9 +523,9 @@ def _run_analyze(cfg: RunConfig, args) -> int:
         )
     (out / "pca.csv").write_text("\n".join(pca_lines) + "\n")
 
-    if labels == [None] and len(all_pops) > 1:
-        ranges = interquantile_trajectory(all_pops)
-        iqr_lines = ["population," + ",".join(names)]
+    if len(pops) > 1 and all(p.models_present() == [1] for p in pops):
+        ranges = interquantile_trajectory(pops)
+        iqr_lines = ["population," + ",".join(names[1])]
         for t in range(ranges.shape[0]):
             iqr_lines.append(f"{t}," + ",".join(_fmt(v) for v in ranges[t]))
         (out / "interquantile.csv").write_text("\n".join(iqr_lines) + "\n")
@@ -570,7 +551,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p = sub.add_parser(task)
         p.add_argument("--config", required=(task != "analyze"), help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config field")

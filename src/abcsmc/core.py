@@ -7,7 +7,7 @@ the integer lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
@@ -230,88 +230,70 @@ class KernelSpec:
 
 
 # ---------------------------------------------------------------------------
-# Particles and populations
+# Populations
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Particle:
-    """One sampled parameter vector with its importance weight."""
-
-    theta: np.ndarray
-    weight: float
-    model: Optional[int] = None  # 1-based model label for selection runs
-    distance: Optional[float] = None  # smallest accepted replicate distance
-
-
-@dataclass
 class Population:
-    """Weighted set of accepted particles at one tolerance level."""
+    """Weighted accepted particles at one tolerance level, held as arrays
+    aligned by row in proposal order.
 
-    particles: list[Particle]
+    `labels[i]` is the 1-based model of row i (all 1 in a single-model run).
+    Models may differ in dimension, so thetas are kept in one block per
+    model present: `blocks[m]` holds the thetas of the rows labelled m, in
+    row order.
+    """
+
+    labels: np.ndarray  # (N,) int
+    blocks: dict  # label -> (n_m, k_m) float thetas
+    weight: np.ndarray  # (N,)
+    distance: np.ndarray  # (N,) smallest accepted trial distance
     epsilon: float
     index: int
     sim_count: int  # cumulative data-generation steps up to this population
-    proposals: int = 0  # cumulative proposals (incl. out-of-prior retries)
+    proposals: int = 0  # proposals of this population (incl. out-of-prior draws)
 
     def __len__(self) -> int:
-        return len(self.particles)
+        return len(self.labels)
 
     def models_present(self) -> list[int]:
-        return sorted({p.model for p in self.particles if p.model is not None})
+        return sorted(self.blocks)
 
     def thetas(self, model: Optional[int] = None) -> np.ndarray:
-        sel = self._select(model)
-        return np.array([p.theta for p in sel])
+        if model is not None:
+            self._rows(model)
+            return self.blocks[model]
+        dims = {b.shape[1] for b in self.blocks.values()}
+        if len(dims) != 1:
+            raise ValueError("models differ in dimension; pass a model label")
+        out = np.empty((len(self), dims.pop()))
+        for label, block in self.blocks.items():
+            out[self.labels == label] = block
+        return out
 
     def weights(self, model: Optional[int] = None) -> np.ndarray:
-        sel = self._select(model)
-        return np.array([p.weight for p in sel])
+        return self.weight if model is None else self.weight[self._rows(model)]
 
     def distances(self, model: Optional[int] = None) -> np.ndarray:
-        sel = self._select(model)
-        return np.array([p.distance for p in sel], dtype=float)
+        return self.distance if model is None else self.distance[self._rows(model)]
 
     def model_counts(self, n_models: int) -> np.ndarray:
-        counts = np.zeros(n_models, dtype=int)
-        for p in self.particles:
-            if p.model is not None:
-                counts[p.model - 1] += 1
-        return counts
+        return np.bincount(self.labels - 1, minlength=n_models)
 
-    def _select(self, model: Optional[int]) -> list[Particle]:
-        if model is None:
-            return self.particles
-        sel = [p for p in self.particles if p.model == model]
-        if not sel:
+    def normalize(self) -> None:
+        """Rescale the weights to sum to 1 within each model.
+
+        The total is added left to right (`np.cumsum`), not pairwise
+        (`np.sum`): seeded outputs depend on the last bits of these weights.
+        """
+        for label in self.blocks:
+            rows = self.labels == label
+            self.weight[rows] /= np.cumsum(self.weight[rows])[-1]
+
+    def _rows(self, model: int) -> np.ndarray:
+        if model not in self.blocks:
             raise ModelDiedOut(f"no particles left for model {model}")
-        return sel
-
-
-def normalize_weights(particles: Sequence[Particle]) -> None:
-    """Rescale weights to sum to 1 (per model sub-population if labelled)."""
-    models = {p.model for p in particles}
-    for m in models:
-        group = [p for p in particles if p.model == m]
-        total = sum(p.weight for p in group)
-        if not total > 0:
-            raise RuntimeError("cannot normalize: nonpositive total weight")
-        for p in group:
-            p.weight /= total
-
-
-def weighted_sample(
-    population: Population,
-    rng: np.random.Generator,
-    model: Optional[int] = None,
-) -> Particle:
-    """Draw one particle with probability proportional to its weight.
-
-    Raises ModelDiedOut when filtering leaves no particles.
-    """
-    sel = population._select(model)
-    w = np.array([p.weight for p in sel])
-    idx = rng.choice(len(sel), p=w / w.sum())
-    return sel[idx]
+        return self.labels == model
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +344,8 @@ class InferenceConfig:
     sim_trials: int = 1
     replicates: int = 1
     seed: int = 0
-    workers: int = 1
     max_proposals_per_population: Optional[int] = None  # default 1e6 * N
     acceptance_floor: float = 1e-7
-    batch_size: Optional[int] = None  # proposal batch size; default per model kind
 
     def __post_init__(self):
         self.validate()
@@ -385,8 +365,6 @@ class InferenceConfig:
             raise ConfigError("sim_trials must be >= 1")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if not (len(self.models) == len(self.priors) == len(self.kernels)):
             raise ConfigError("models, priors and kernels must have equal length")
         if len(self.models) == 0:

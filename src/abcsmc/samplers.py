@@ -2,18 +2,16 @@
 and its model-selection variant, plus the equal-weight baseline.
 
 All population samplers share one batch engine: proposals are generated and
-simulated in deterministic batches (one RNG stream per (seed, population,
-batch counter)), evaluated possibly in parallel worker threads, and committed
-in batch order.  Output is therefore byte-reproducible for a given
-(seed, workers, config) and independent of thread scheduling.  Simulation
-counts mirror the sequential algorithm exactly: within the batch containing
-the final acceptance, rows after it are discarded uncounted.
+simulated one batch at a time, each batch from its own RNG stream keyed by
+(seed, population, batch counter), and committed in proposal order.  Output
+is therefore byte-reproducible for a given (seed, config).  Simulation
+counts mirror the one-at-a-time algorithm exactly: within the batch
+containing the final acceptance, rows after it are discarded uncounted.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,10 +20,8 @@ from .core import (
     ConfigError,
     InferenceConfig,
     KernelSpec,
-    Particle,
     Population,
     PriorSpec,
-    normalize_weights,
     task_rng,
 )
 from .distance import Dataset, distance_fn
@@ -135,8 +131,7 @@ class _Batch:
     prior_ok: np.ndarray  # (B,)
     hits: np.ndarray  # (B,)
     best: np.ndarray  # (B,)
-    group_thetas: dict  # label -> (n_m, k_m) thetas in group order
-    group_pos: np.ndarray  # (B,) position of the row inside its model group
+    thetas: dict  # label -> (n_m, k_m) thetas of that label's rows, in row order
 
 
 def _propose_and_test(cfg: InferenceConfig, test: AcceptanceTest, t: int,
@@ -152,11 +147,9 @@ def _propose_and_test(cfg: InferenceConfig, test: AcceptanceTest, t: int,
     hits = np.zeros(size, dtype=int)
     best = np.full(size, np.inf)
     group_thetas: dict[int, np.ndarray] = {}
-    group_pos = np.zeros(size, dtype=int)
     for label in sorted(surviving):
         rows = np.nonzero(model_of_row == label)[0]
         if rows.size == 0:
-            group_thetas[label] = np.empty((0, cfg.models[label - 1].n_params))
             continue
         prior = cfg.priors[label - 1]
         kernel = cfg.kernels[label - 1]
@@ -178,109 +171,86 @@ def _propose_and_test(cfg: InferenceConfig, test: AcceptanceTest, t: int,
         hits[rows] = h
         best[rows] = b
         group_thetas[label] = thetas
-        group_pos[rows] = np.arange(rows.size)
-    return _Batch(model_of_row, prior_ok, hits, best, group_thetas, group_pos)
+    return _Batch(model_of_row, prior_ok, hits, best, group_thetas)
 
 
 def _collect_population(cfg: InferenceConfig, test: AcceptanceTest, t: int,
                         surviving: list[int], prev_by_model: Optional[dict],
-                        budget: int, partial_factory,
-                        prev_rate: Optional[float] = None) -> tuple[list, int, int]:
-    """Accept cfg.n_particles proposals at test.epsilon.
+                        budget: int, partial, prev_rate: Optional[float] = None):
+    """Accept cfg.n_particles proposals at test.epsilon, one batch at a time.
 
-    Returns (accepted rows [(theta, label, hits, best)], proposals, sims).
-    Proposal order is deterministic and counting stops at the final
-    acceptance exactly as a one-at-a-time sampler would.  The batch size is
-    fixed for the whole population (sized from the previous population's
-    acceptance rate), so the committed output is identical for any worker
-    count; rows simulated past the final acceptance are discarded uncounted.
+    Returns (labels, blocks, hits, best, proposals, sims): the accepted rows
+    in proposal order, their thetas in one block per label, and what they
+    cost.  Counting stops at the final acceptance exactly as a one-at-a-time
+    sampler would; rows simulated past it are discarded uncounted.  The
+    batch size is fixed for the whole population, sized from the previous
+    population's acceptance rate.  BudgetExceeded carries `partial`.
     """
     N = cfg.n_particles
-    base = cfg.batch_size or min(_BATCH_BASE[m.kind] for m in cfg.models)
+    base = min(_BATCH_BASE[m.kind] for m in cfg.models)
     sims_per = test.sims_per_proposal
-    accepted: list = []
+    labels = np.empty(N, dtype=int)
+    hits = np.empty(N, dtype=int)
+    best = np.empty(N)
+    blocks = {label: np.empty((N, cfg.models[label - 1].n_params)) for label in surviving}
+    filled = dict.fromkeys(surviving, 0)
+    accepted = 0
     proposals = 0
     sims = 0
-    batch_counter = 0
+    batch_index = 0
     if prev_rate:
         size = int(min(base, max(256, math.ceil(1.5 * N / prev_rate))))
     else:
         size = int(min(base, max(256, 2 * N)))
-    while len(accepted) < N:
-        wave = [(batch_counter + i, size) for i in range(cfg.workers)]
-        batch_counter += len(wave)
-
-        def run(task):
-            idx, sz = task
-            return _propose_and_test(cfg, test, t, idx, sz, surviving, prev_by_model)
-
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as ex:
-                results = list(ex.map(run, wave))
+    while accepted < N:
+        batch = _propose_and_test(cfg, test, t, batch_index, size, surviving, prev_by_model)
+        batch_index += 1
+        accept_row = batch.prior_ok & (batch.hits > 0)
+        cum = np.cumsum(accept_row)
+        if cum[-1] >= N - accepted:
+            cut = int(np.searchsorted(cum, N - accepted))  # index of the final acceptance
         else:
-            results = [run(w) for w in wave]
-
-        for batch in results:
-            if len(accepted) >= N:
-                break
-            need = N - len(accepted)
-            accept_row = batch.prior_ok & (batch.hits > 0)
-            cum = np.cumsum(accept_row)
-            if cum[-1] >= need:
-                cut = int(np.searchsorted(cum, need))  # index of the final acceptance
-            else:
-                cut = len(accept_row) - 1
-            if proposals + cut + 1 > budget:
-                cut = budget - proposals - 1
-                if cut < 0:
-                    raise BudgetExceeded(
-                        f"proposal budget {budget} exceeded in population {t}",
-                        partial=partial_factory(accepted, proposals, sims),
-                    )
-            proposals += cut + 1
-            sims += int(batch.prior_ok[: cut + 1].sum()) * sims_per
-            for i in np.nonzero(accept_row[: cut + 1])[0]:
-                label = int(batch.model_of_row[i])
-                theta = batch.group_thetas[label][batch.group_pos[i]]
-                accepted.append((theta, label, int(batch.hits[i]), float(batch.best[i])))
-            if proposals >= budget and len(accepted) < N:
-                raise BudgetExceeded(
-                    f"proposal budget {budget} exceeded in population {t}",
-                    partial=partial_factory(accepted, proposals, sims),
-                )
-    return accepted, proposals, sims
+            cut = len(accept_row) - 1
+        cut = min(cut, budget - proposals - 1)
+        proposals += cut + 1
+        sims += int(batch.prior_ok[: cut + 1].sum()) * sims_per
+        keep = np.zeros_like(accept_row)
+        keep[: cut + 1] = accept_row[: cut + 1]
+        n = int(keep.sum())
+        labels[accepted:accepted + n] = batch.model_of_row[keep]
+        hits[accepted:accepted + n] = batch.hits[keep]
+        best[accepted:accepted + n] = batch.best[keep]
+        accepted += n
+        for label, thetas in batch.thetas.items():
+            part = thetas[keep[batch.model_of_row == label]]
+            blocks[label][filled[label]:filled[label] + len(part)] = part
+            filled[label] += len(part)
+        if proposals >= budget and accepted < N:
+            raise BudgetExceeded(
+                f"proposal budget {budget} exceeded in population {t}", partial=partial
+            )
+    blocks = {label: blocks[label][:filled[label]] for label in sorted(blocks) if filled[label]}
+    return labels, blocks, hits, best, proposals, sims
 
 
-def compute_weight(particle: Particle, previous: Population, kernel: KernelSpec,
-                   prior: PriorSpec, hits: int = 1) -> float:
-    """Importance weight of one accepted particle against the previous
-    population (restricted to the particle's model for selection runs)."""
-    prev_thetas = previous.thetas(particle.model)
-    prev_weights = previous.weights(particle.model)
-    num = prior.density(particle.theta) * hits
-    den = float(prev_weights @ kernel.density_matrix(prev_thetas, particle.theta[None, :])[0])
-    if not den > 0.0:
-        raise RuntimeError("weight denominator is zero: particle outside every kernel range")
-    return num / den
+def importance_weights(labels: np.ndarray, blocks: dict, hits: np.ndarray,
+                       priors: Sequence[PriorSpec], kernels: Sequence[KernelSpec],
+                       previous: Optional[dict]) -> np.ndarray:
+    """Unnormalised importance weights of accepted rows.
 
-
-def _population_weights(accepted, cfg, prev_by_model, t, equal_weights: bool) -> np.ndarray:
-    n = len(accepted)
-    if equal_weights:
-        return np.ones(n)
-    if t == 0 or prev_by_model is None:
-        return np.array([float(h) for _, _, h, _ in accepted])
-    w = np.empty(n)
-    labels = np.array([lab for _, lab, _, _ in accepted])
-    for label in np.unique(labels):
-        rows = np.nonzero(labels == label)[0]
-        thetas = np.array([accepted[i][0] for i in rows])
-        hits = np.array([accepted[i][2] for i in rows], dtype=float)
-        prior = cfg.priors[label - 1]
-        kernel = cfg.kernels[label - 1]
-        parents, parent_w = prev_by_model[label]
-        num = prior.density_many(thetas) * hits
-        den = kernel.density_matrix(parents, thetas) @ parent_w
+    With no previous population each row's weight is its hit count.
+    Otherwise it is prior density x hits over the kernel mixture
+    sum_j w_j K(theta_j -> theta) of the previous population of the row's
+    model; `previous` maps label -> (parent thetas, parent weights).
+    """
+    if previous is None:
+        return hits.astype(float)
+    w = np.empty(len(labels))
+    for label, thetas in blocks.items():
+        rows = labels == label
+        parents, parent_w = previous[label]
+        num = priors[label - 1].density_many(thetas) * hits[rows]
+        den = kernels[label - 1].density_matrix(parents, thetas) @ parent_w
         if not np.all(den > 0.0):
             raise RuntimeError("weight denominator is zero: particle outside every kernel range")
         w[rows] = num / den
@@ -289,33 +259,15 @@ def _population_weights(accepted, cfg, prev_by_model, t, equal_weights: bool) ->
     return w
 
 
-def _make_population(accepted, weights, cfg, t, eps, sim_total, proposals) -> Population:
-    particles = []
-    selection = cfg.n_models > 1
-    for (theta, label, h, best), w in zip(accepted, weights):
-        particles.append(
-            Particle(
-                theta=np.asarray(theta, dtype=float),
-                weight=float(w),
-                model=label if selection else None,
-                distance=best,
-            )
-        )
-    normalize_weights(particles)
-    return Population(particles, epsilon=eps, index=t, sim_count=sim_total, proposals=proposals)
-
-
-def _by_model(population: Population, cfg: InferenceConfig) -> dict:
+def _by_model(population: Population) -> dict:
+    """label -> (thetas, weights) of each model present: what the next
+    population resamples from.  The weights are already normalised per
+    model; the second division by their sum stays only because dropping it
+    changes their last bits, and so the seeded draws."""
     out = {}
-    for label in range(1, cfg.n_models + 1):
-        key = label if cfg.n_models > 1 else None
-        try:
-            thetas = population.thetas(key)
-            weights = population.weights(key)
-        except Exception:
-            continue
-        if len(thetas):
-            out[label] = (thetas, weights / weights.sum())
+    for label in population.models_present():
+        weights = population.weights(label)
+        out[label] = (population.thetas(label), weights / weights.sum())
     return out
 
 
@@ -325,26 +277,27 @@ def _smc(cfg: InferenceConfig, equal_weights: bool = False, progress=None) -> li
     prev_by_model = None
     surviving = list(range(1, cfg.n_models + 1))
     sim_total = 0
-
-    def partial_factory(accepted, proposals, sims):
-        return SmcResult(list(populations))
-
     prev_rate = None
     for t, eps in enumerate(cfg.schedule):
         test = AcceptanceTest(cfg.dataset, cfg.distance, eps, cfg.sim_trials, cfg.replicates)
-        accepted, proposals, sims = _collect_population(
+        labels, blocks, hits, best, proposals, sims = _collect_population(
             cfg, test, t, surviving, prev_by_model, cfg.proposal_budget(),
-            partial_factory, prev_rate,
+            SmcResult(list(populations)), prev_rate,
         )
-        prev_rate = len(accepted) / max(proposals, 1)
+        prev_rate = len(labels) / max(proposals, 1)
         sim_total += sims
-        weights = _population_weights(accepted, cfg, prev_by_model, t, equal_weights)
-        pop = _make_population(accepted, weights, cfg, t, eps, sim_total, proposals)
+        if equal_weights:
+            weights = np.ones(len(labels))
+        else:
+            weights = importance_weights(labels, blocks, hits, cfg.priors, cfg.kernels,
+                                         prev_by_model)
+        pop = Population(labels, blocks, weights, best, eps, t, sim_total, proposals)
+        pop.normalize()
         populations.append(pop)
         if progress is not None:
             progress(pop)
-        prev_by_model = _by_model(pop, cfg)
-        surviving = sorted(prev_by_model.keys()) if cfg.n_models > 1 else [1]
+        prev_by_model = _by_model(pop)
+        surviving = sorted(prev_by_model)
     return populations
 
 
@@ -393,21 +346,12 @@ def abc_rejection(config: InferenceConfig, epsilon: Optional[float] = None) -> P
         epsilon = config.schedule[0]
     test = AcceptanceTest(config.dataset, config.distance, epsilon, config.sim_trials, config.replicates)
     budget = int(math.ceil(config.n_particles / config.acceptance_floor))
-
-    def partial_factory(accepted, proposals, sims):
-        return None
-
-    accepted, proposals, sims = _collect_population(
-        config, test, 0, [1], None, budget, partial_factory
+    labels, blocks, _, best, proposals, sims = _collect_population(
+        config, test, 0, [1], None, budget, None
     )
-    weights = np.ones(len(accepted))
-    return _make_population(accepted, weights, config, 0, epsilon, sims, proposals)
-
-
-def suggest_next_epsilon(population: Population, quantile: float = 0.5) -> float:
-    """Convenience only: a candidate next tolerance from the distance
-    quantile of the current population (schedules are normally user-chosen)."""
-    return float(np.quantile(population.distances(), quantile))
+    pop = Population(labels, blocks, np.ones(len(labels)), best, epsilon, 0, sims, proposals)
+    pop.normalize()
+    return pop
 
 
 # ---------------------------------------------------------------------------

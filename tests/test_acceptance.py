@@ -257,19 +257,21 @@ def test_criterion_8_solver_suite():
 
 def test_criterion_9_pca_properties():
     """Structural checks of the sensitivity decomposition."""
-    from abcsmc.core import Particle, Population
+    from abcsmc.core import Population
+
+    def equal_weights(x):
+        n = len(x)
+        return Population(np.ones(n, dtype=int), {1: x}, np.ones(n), np.full(n, np.nan), 1.0, 0, 0)
 
     rng = task_rng(13)
     sample = rng.standard_normal((1000, 4))
-    population = Population([Particle(row, 1.0) for row in sample], 1.0, 0, 0)
+    population = equal_weights(sample)
     rep = analysis.pca_sensitivity(population)
     frac_sum_gap = abs(rep.fractions.sum() - 1.0)
     ortho_gap = np.abs(rep.components @ rep.components.T - np.eye(4)).max()
     iso_gap = np.abs(rep.fractions - 0.25).max()
 
-    scaled = Population(
-        [Particle(row * np.array([100.0, 0.01, 5.0, 1.0]) + 3.0, 1.0) for row in sample], 1.0, 0, 0
-    )
+    scaled = equal_weights(sample * np.array([100.0, 0.01, 5.0, 1.0]) + 3.0)
     eig_gap = np.abs(analysis.pca_sensitivity(scaled).eigenvalues - rep.eigenvalues).max()
     ok = frac_sum_gap <= 1e-10 and ortho_gap <= 1e-8 and eig_gap <= 1e-8 and iso_gap <= 0.05
     report(
@@ -329,7 +331,7 @@ def test_criterion_10_extended_island_outbreak_selection():
 
 
 def test_criterion_11_byte_identical_reruns(tmp_path):
-    """Identical seed and worker count give byte-identical population CSVs."""
+    """An identical seed gives byte-identical population CSVs."""
     setup, dataset = _lv_dataset()
     data_path = tmp_path / "lv.csv"
     cli.write_dataset(dataset, data_path)

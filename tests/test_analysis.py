@@ -13,15 +13,16 @@ from abcsmc.analysis import (
     posterior_summary,
     weighted_quantile,
 )
-from abcsmc.core import Particle, Population
+from abcsmc.core import Population
 
 
 def _pop(values, weights, index=0):
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[0] == 1:
         values = values.T
-    particles = [Particle(v, w) for v, w in zip(values, weights)]
-    return Population(particles, epsilon=1.0, index=index, sim_count=0)
+    n = len(values)
+    return Population(np.ones(n, dtype=int), {1: values}, np.asarray(weights, dtype=float),
+                      np.full(n, np.nan), epsilon=1.0, index=index, sim_count=0)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +126,7 @@ def _gaussian_pop(n=1000, p=4, seed=0, transform=None):
     x = rng.standard_normal((n, p))
     if transform is not None:
         x = transform(x)
-    particles = [Particle(row, 1.0 / n) for row in x]
-    return Population(particles, epsilon=1.0, index=0, sim_count=0)
+    return _pop(x, np.full(n, 1.0 / n))
 
 
 def test_pca_isotropic_fractions_near_uniform():
@@ -201,12 +201,8 @@ def test_pca_weighted_matches_replication():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((60, 2))
     reps = rng.integers(1, 5, size=60)
-    weighted = Population(
-        [Particle(row, float(r)) for row, r in zip(x, reps)], 1.0, 0, 0
-    )
-    replicated = Population(
-        [Particle(row, 1.0) for row, r in zip(x, reps) for _ in range(r)], 1.0, 0, 0
-    )
+    weighted = _pop(x, reps)
+    replicated = _pop(np.repeat(x, reps, axis=0), np.ones(reps.sum()))
     a = pca_sensitivity(weighted)
     b = pca_sensitivity(replicated)
     assert np.abs(a.eigenvalues - b.eigenvalues).max() < 1e-10

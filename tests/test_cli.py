@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from abcsmc import cli, models
-from abcsmc.core import ConfigError, task_rng
+from abcsmc.core import ConfigError, Population, task_rng
 from abcsmc.distance import Dataset
 from abcsmc.models import generate_data
 
@@ -286,19 +286,53 @@ def test_population_csv_round_trip(tmp_path, lv_dataset):
     )
     run = tmp_path / "run"
     assert cli.main(["infer", "--config", cfgp, "--out", str(run)]) == 0
-    names, particles = cli.read_population_csv(str(run / "population_00.csv"))
-    assert names == ["a", "b"]
-    assert len(particles) == 25
-    assert abs(sum(p.weight for p in particles) - 1.0) < 1e-9
+    names, pop = cli.read_population_csv(str(run / "population_00.csv"))
+    assert names == {1: ["a", "b"]}
+    assert len(pop) == 25
+    assert abs(pop.weights().sum() - 1.0) < 1e-9
 
 
-def test_workers_env_var_default(tmp_path, lv_dataset, monkeypatch):
-    monkeypatch.setenv("ABCSMC_WORKERS", "2")
+def test_selection_population_csv_round_trip(tmp_path):
+    setup = models.default_setup("sir_selection")
+    labels = np.array([2, 1, 4, 2, 1])
+    blocks = {
+        1: np.array([[0.1, 0.2], [0.3, 0.4]]),
+        2: np.array([[1.1, 1.2, 1.3], [2.1, 2.2, 2.3]]),
+        4: np.array([[0.5, 0.6, 1 / 3]]),
+    }
+    weight = np.array([0.25, 0.5, 1.0, 0.75, 0.5])
+    distance = np.array([1.5, 2.0, 0.1, 3.0, 2.5])
+    pop = Population(labels, blocks, weight, distance, 2.4, 3, 100)
+    path = tmp_path / "population_03.csv"
+    cli.write_population_csv(pop, setup.models, str(path))
+    names, back = cli.read_population_csv(str(path))
+    assert names == {m: list(setup.models[m - 1].param_names) for m in (1, 2, 4)}
+    assert np.array_equal(back.labels, labels)
+    assert back.blocks.keys() == blocks.keys()
+    for m in blocks:
+        assert np.array_equal(back.thetas(m), blocks[m])
+        assert np.array_equal(back.weights(m), weight[labels == m])
+    assert np.array_equal(back.distances(), distance)
+
+
+def test_analyze_selection_run_names_parameters_per_model(tmp_path):
+    setup = models.default_setup("sir_selection")
+    datap = tmp_path / "sir.csv"
+    cli.write_dataset(generate_data(setup.recipe, task_rng(1)), datap)
     cfgp = write_config(
         tmp_path,
-        f"model = lv_ode\ndataset = {lv_dataset}\nepsilons = 30\nparticles = 10\nseed = 2\n",
+        f"setup = sir_selection\ndataset = {datap}\nepsilons = 100, 50\nparticles = 40\nseed = 3\n",
     )
-    out = tmp_path / "envrun"
-    assert cli.main(["infer", "--config", cfgp, "--out", str(out)]) == 0
-    stamp = json.loads((out / "stamp.json").read_text())
-    assert stamp["workers"] == 2
+    run = tmp_path / "sel"
+    assert cli.main(["select", "--config", cfgp, "--out", str(run)]) == 0
+    out = tmp_path / "reports"
+    assert cli.main(["analyze", "--run-dir", str(run), "--out", str(out)]) == 0
+    _, final = cli.read_population_csv(str(run / "population_01.csv"))
+    param_names = {i + 1: list(m.param_names) for i, m in enumerate(setup.models)}
+    summary = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
+    expected = [[str(m), p] for m in final.models_present() for p in param_names[m]]
+    assert [row[:2] for row in summary] == expected
+    pca = [line.split(",") for line in (out / "pca.csv").read_text().splitlines()]
+    first = final.models_present()[0]
+    assert pca[0][3:] == param_names[first]
+    assert all(len(row) == len(pca[0]) for row in pca[1:])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from abcsmc.core import (
     ConfigError,
@@ -11,16 +10,13 @@ from abcsmc.core import (
     IntegerWalk,
     KernelSpec,
     ModelDiedOut,
-    Particle,
     Population,
     PriorSpec,
     ToleranceSchedule,
     Uniform,
     UniformWalk,
-    normalize_weights,
     task_rng,
     uniform_box,
-    weighted_sample,
 )
 
 
@@ -147,59 +143,39 @@ def test_kernel_for_prior_maps_discrete_to_integer_walk():
 
 
 # ---------------------------------------------------------------------------
-# Particles, populations, weighted sampling
+# Populations
 # ---------------------------------------------------------------------------
 
-def _population(weights, models=None, epsilon=1.0):
-    particles = [
-        Particle(np.array([float(i)]), w, None if models is None else models[i])
-        for i, w in enumerate(weights)
-    ]
-    return Population(particles, epsilon=epsilon, index=0, sim_count=0)
+def _population(weights, labels=None, epsilon=1.0):
+    n = len(weights)
+    labels = np.ones(n, dtype=int) if labels is None else np.asarray(labels)
+    thetas = np.arange(n, dtype=float)[:, None]
+    blocks = {int(m): thetas[labels == m] for m in np.unique(labels)}
+    return Population(labels, blocks, np.array(weights, dtype=float), np.zeros(n),
+                      epsilon=epsilon, index=0, sim_count=0)
 
 
-def test_normalize_weights_sums_to_one():
+def test_population_normalize_sums_to_one():
     pop = _population([2.0, 3.0, 5.0])
-    normalize_weights(pop.particles)
+    pop.normalize()
     assert abs(pop.weights().sum() - 1.0) < 1e-12
 
 
-def test_normalize_weights_per_model():
-    pop = _population([2.0, 3.0, 5.0, 7.0], models=[1, 1, 2, 2])
-    normalize_weights(pop.particles)
-    assert abs(pop.weights(model=1).sum() - 1.0) < 1e-12
-    assert abs(pop.weights(model=2).sum() - 1.0) < 1e-12
+def test_population_normalize_per_model():
+    pop = _population([2.0, 3.0, 5.0, 7.0], labels=[1, 2, 1, 2])
+    pop.normalize()
+    assert np.array_equal(pop.weights(model=1), [2 / 7, 5 / 7])
+    assert np.array_equal(pop.weights(model=2), [3 / 10, 7 / 10])
+    assert np.array_equal(pop.thetas(model=2), [[1.0], [3.0]])
+    assert pop.models_present() == [1, 2]
+    assert np.array_equal(pop.model_counts(3), [2, 2, 0])
 
 
-def test_weighted_sample_degenerate(rng):
-    pop = _population([1.0, 0.0, 0.0])
-    normalize_weights(pop.particles)
-    for _ in range(20):
-        assert weighted_sample(pop, rng).theta[0] == 0.0
-
-
-def test_weighted_sample_uniform_chi2(rng):
-    pop = _population([0.25] * 4)
-    draws = np.array([weighted_sample(pop, rng).theta[0] for _ in range(10_000)])
-    counts = np.bincount(draws.astype(int), minlength=4)
-    _, p = stats.chisquare(counts)
-    assert p > 0.01
-
-
-def test_weighted_sample_frequencies_match_weights(rng):
-    w = np.array([0.5, 0.3, 0.15, 0.05])
-    pop = _population(list(w))
-    n = 100_000
-    draws = np.array([weighted_sample(pop, rng).theta[0] for _ in range(n)])
-    freq = np.bincount(draws.astype(int), minlength=4) / n
-    se = np.sqrt(w * (1 - w) / n)
-    assert np.all(np.abs(freq - w) <= 3 * se)
-
-
-def test_weighted_sample_model_filter_died_out(rng):
-    pop = _population([0.5, 0.5], models=[1, 2])
-    with pytest.raises(ModelDiedOut):
-        weighted_sample(pop, rng, model=3)
+def test_population_model_filter_died_out():
+    pop = _population([0.5, 0.5], labels=[1, 2])
+    for select in (pop.thetas, pop.weights, pop.distances):
+        with pytest.raises(ModelDiedOut):
+            select(3)
 
 
 # ---------------------------------------------------------------------------
