@@ -309,8 +309,9 @@ def sir_delay(x0: Sequence[float] = SIR_X0) -> ModelSpec:
         observed=(0, 1, 2),
         x0=np.asarray(x0, dtype=float),
         # delays below ~2% of the window are beneath the daily sampling
-        # resolution; treating them as zero keeps the adaptive grid coarse
-        sim=SimOptions(lag_floor_frac=0.02, dde_tol=1e-5),
+        # resolution and count as zero; 330 steps over the 11-day window
+        # make the grid step 1/30 day
+        sim=SimOptions(rk4_steps=330, lag_floor_frac=0.02),
     )
 
 
@@ -396,7 +397,7 @@ def sir_study_models(x0: Sequence[float] = SIR_STUDY_X0) -> tuple[ModelSpec, ...
         species=("S", "I", "R"),
         observed=(0, 1, 2),
         x0=x0,
-        sim=SimOptions(lag_floor_frac=0.02, dde_tol=1e-5),
+        sim=SimOptions(rk4_steps=330, lag_floor_frac=0.02),  # step 1/30 day over 11 days
     )
     latent = ModelSpec(
         name="sir_latent_closed",
@@ -495,7 +496,7 @@ def outbreak_models() -> tuple[ModelSpec, ...]:
         observed=(1, 2),
         initial_state=_outbreak_start_sir,
         discrete=(3,),
-        sim=SimOptions(lag_floor_frac=0.01),
+        sim=SimOptions(rk4_steps=600, lag_floor_frac=0.01),  # step 1/30 day over 20 days
         **common,
     )
     latent = ModelSpec(

@@ -1,10 +1,14 @@
 """Simulation backends behind one "simulate at these time points" contract.
 
-Three engines: fixed-step classical RK4 for ODEs, an adaptive embedded
-Runge-Kutta (Cash-Karp 4/5) integrator with cubic-Hermite dense output for
-delay systems, and the exact stochastic simulation algorithm for reaction
-networks.  Every engine has a batch path that advances many parameter
-vectors at once on shared numpy arrays; samplers rely on it for throughput.
+Two engines: fixed-step classical RK4 for ODEs and delay systems, and the
+exact stochastic simulation algorithm for reaction networks.  An ODE is the
+zero-lag case of a delay system: both march one uniform grid that lands on
+every record time, and a delay system also stores each node's state and
+derivative so that lagged states are cubic Hermite interpolants of completed
+nodes (Bellen & Zennaro, Numerical Methods for Delay Differential
+Equations, 2003).  Every engine has a batch path that advances many
+parameter vectors at once on shared numpy arrays; samplers rely on it for
+throughput.
 
 Right-hand sides are written broadcast-friendly: state has shape (..., m),
 theta (..., k), and the returned derivative (..., m), so the same callable
@@ -13,7 +17,7 @@ serves single runs and batches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -52,8 +56,9 @@ class DdeSystem:
     state arrays, one per lag, evaluated at t - lag.
 
     Lag entries are either fixed floats or integer indices into theta.
-    Negative resolved lags are clamped to zero (zero lag means "use the
-    current state", i.e. plain ODE semantics for that term).
+    A row with a negative resolved lag is an invalid (anti-causal) model
+    instance and fails.  Lags below the solver's lag floor count as zero:
+    that term uses the current state, i.e. plain ODE semantics.
     """
 
     dim: int
@@ -88,38 +93,67 @@ class DirectSampler:
 class SimOptions:
     """Per-model engine settings."""
 
-    rk4_steps: int = 1000  # internal steps across [t0, t_end]
-    dde_tol: float = 1e-6
-    dde_max_step_frac: float = 0.05  # max step as fraction of span
-    lag_floor_frac: float = 1e-3  # lags below this fraction of span count as zero
+    # RK4 step = (t_end - t0) / rk4_steps; each record segment rounds its
+    # substep count up, so 600 steps over 11 equal segments run 605
+    rk4_steps: int = 1000
+    # lags below this fraction of the span count as zero; the delay grid's
+    # step is also capped at this floor
+    lag_floor_frac: float = 1e-3
     ssa_max_events: int = 100_000_000
 
 
 # ---------------------------------------------------------------------------
-# Fixed-step RK4
+# Fixed-step RK4 for ODEs and delay systems
 # ---------------------------------------------------------------------------
 
-def _rk4_march(rhs, theta, y, ok, t_a, t_b, h_max):
-    """Advance y from t_a to t_b with uniform substeps of size <= h_max.
+def _substeps(span: float, h_max: float) -> int:
+    return max(1, int(math.ceil(span / h_max - 1e-9)))
 
-    Blown-up rows are zeroed and flagged in `ok` so inf/nan never propagates.
+
+def _rk4_march(rhs, y, ok, times, start, h_max, on_node=None):
+    """March a (B, m) state through the record times; returns (B, n, m).
+
+    Each record segment takes uniform substeps no longer than h_max, so every
+    record time is landed on exactly.  `on_node(t, y, f)` receives each node
+    before the step from it, with f that step's k1.  Rows that are
+    non-finite or exceed 1e100 at the end of a segment are zeroed and
+    flagged in `ok`; rows never mix, so a blown row leaks into no other.
     """
-    span = t_b - t_a
-    n = max(1, int(math.ceil(span / h_max - 1e-9)))
-    h = span / n
-    for i in range(n):
-        t = t_a + i * h
-        k1 = rhs(t, y, theta)
-        k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1, theta)
-        k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2, theta)
-        k4 = rhs(t + h, y + h * k3, theta)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        bad = ~np.isfinite(y).all(axis=-1)
-        bad |= np.abs(y).max(axis=-1) > 1e100
-        if bad.any():
-            ok &= ~bad
-            y = np.where(bad[..., None], 0.0, y)
-    return y
+    out = np.empty((y.shape[0], len(times), y.shape[1]))
+    t = start
+    for i, r in enumerate(times):
+        if r > t:
+            n = _substeps(r - t, h_max)
+            h = (r - t) / n
+            for j in range(n):
+                s = t + j * h
+                k1 = rhs(s, y)
+                if on_node is not None:
+                    on_node(s, y, k1)
+                k2 = rhs(s + 0.5 * h, y + (0.5 * h) * k1)
+                k3 = rhs(s + 0.5 * h, y + (0.5 * h) * k2)
+                k4 = rhs(s + h, y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            bad = ~np.isfinite(y).all(axis=-1) | (np.abs(y).max(axis=-1) > 1e100)
+            if bad.any():
+                ok &= ~bad
+                y = np.where(bad[:, None], 0.0, y)
+            t = r
+        out[:, i, :] = y
+    return out
+
+
+def _grid(times, step, t0):
+    """Validated record times and start time of a fixed-step solve."""
+    times = np.asarray(times, dtype=float)
+    if step <= 0:
+        raise ValueError("step must be > 0")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("record times must be strictly increasing")
+    start = times[0] if t0 is None else float(t0)
+    if times[0] < start:
+        raise ValueError("record times must not precede t0")
+    return times, start
 
 
 def rk4_solve_batch(
@@ -132,25 +166,12 @@ def rk4_solve_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate a (B, k) batch; returns (states (B, n, m), ok (B,))."""
     thetas = np.asarray(thetas, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("record times must be strictly increasing")
+    times, start = _grid(times, step, t0)
     B = thetas.shape[0]
     y = np.broadcast_to(np.asarray(x0s, dtype=float), (B, system.dim)).copy()
     ok = np.ones(B, dtype=bool)
-    start = times[0] if t0 is None else float(t0)
-    if times[0] < start:
-        raise ValueError("record times must not precede t0")
-    out = np.empty((B, len(times), system.dim))
-    t = start
     with np.errstate(all="ignore"):
-        for i, r in enumerate(times):
-            if r > t:
-                y = _rk4_march(system.rhs, thetas, y, ok, t, r, step)
-                t = r
-            out[:, i, :] = y
+        out = _rk4_march(lambda t, s: system.rhs(t, s, thetas), y, ok, times, start, step)
     return out, ok
 
 
@@ -164,31 +185,14 @@ def rk4_solve(
 ) -> Trajectory:
     """Classical fixed-step RK4, sampled at the requested times.
 
-    Record times are landed on exactly (the last substep of each segment is
-    shortened as needed).  Non-finite states raise SimulationFailure.
+    Record times are landed on exactly (each segment takes uniform substeps
+    no longer than `step`).  Non-finite states raise SimulationFailure.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     states, ok = rk4_solve_batch(system, theta[None, :], np.asarray(x0, dtype=float), times, step, t0)
     if not ok[0]:
         raise SimulationFailure("ODE state became non-finite")
     return Trajectory(np.asarray(times, dtype=float), states[0])
-
-
-# ---------------------------------------------------------------------------
-# Adaptive DDE integration (Cash-Karp 4/5 with cubic Hermite dense output)
-# ---------------------------------------------------------------------------
-
-_CK_C = np.array([0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8])
-_CK_A = [
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-]
-_CK_B5 = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771])
-_CK_B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4])
 
 
 def resolve_lags(system: DdeSystem, thetas: np.ndarray) -> np.ndarray:
@@ -207,55 +211,74 @@ def resolve_lags(system: DdeSystem, thetas: np.ndarray) -> np.ndarray:
     return out
 
 
-class _DenseHistory:
-    """Accepted integration nodes (t, y, f) with cubic Hermite lookup."""
+class _HermiteLag:
+    """Lagged states on the RK4 grid.
 
-    def __init__(self, B, m, t0, y0, f0, capacity=256, max_nodes=8192):
-        self.ts = np.empty(capacity)
-        self.ys = np.empty((capacity, B, m))
-        self.fs = np.empty((capacity, B, m))
-        self.n = 1
-        self.max_nodes = max_nodes
-        self.ts[0] = t0
-        self.ys[0] = y0
-        self.fs[0] = f0
+    Holds the (t, y, f) of every completed node.  A lagged time past t0 is
+    a cubic Hermite interpolant of the two nodes around it, one at or
+    before t0 comes from the history, and a zero lag gives the current
+    stage state.  Every positive lag is at least one grid step, so a stage
+    never reads past the latest completed node.
+    """
 
-    def append(self, t, y, f) -> bool:
-        if self.n == self.ts.shape[0]:
-            if self.n >= self.max_nodes:
-                return False
-            grow = min(self.ts.shape[0] * 2, self.max_nodes)
-            self.ts = np.concatenate([self.ts, np.empty(grow - self.n)])
-            for name in ("ys", "fs"):
-                old = getattr(self, name)
-                new = np.empty((grow,) + old.shape[1:])
-                new[: self.n] = old[: self.n]
-                setattr(self, name, new)
+    def __init__(self, lags, history, start, n_nodes, shape):
+        self.lags = lags  # (B, L): zero, or at least the grid step
+        self.history = history
+        self.start = start
+        self.rows = [np.nonzero(lags[:, j] > 0)[0] for j in range(lags.shape[1])]
+        self.ts = np.empty(n_nodes)
+        self.ys = np.empty((n_nodes,) + shape)
+        self.fs = np.empty((n_nodes,) + shape)
+        self.n = 0
+        self._key = None
+        self._past = None
+
+    def push(self, t, y, f):
         self.ts[self.n] = t
         self.ys[self.n] = y
         self.fs[self.n] = f
         self.n += 1
-        return True
 
-    def interpolate(self, tq: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Hermite value at per-row times tq (n,), for the given row indices."""
-        ts = self.ts[: self.n]
-        idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, self.n - 2)
-        ta, tb = ts[idx], ts[idx + 1]
-        ya = self.ys[idx, rows]
-        yb = self.ys[idx + 1, rows]
-        fa = self.fs[idx, rows]
-        fb = self.fs[idx + 1, rows]
-        dt = (tb - ta)[:, None]
-        s = ((tq - ta) / (tb - ta))[:, None]
-        s2 = s * s
-        s3 = s2 * s
-        return (
-            (2 * s3 - 3 * s2 + 1) * ya
-            + (s3 - 2 * s2 + s) * dt * fa
-            + (-2 * s3 + 3 * s2) * yb
-            + (s3 - s2) * dt * fb
-        )
+    def _lookup(self, t, rows, lag):
+        tq = t - lag
+        if self.n:
+            tq = np.minimum(tq, self.ts[self.n - 1])  # rounding at lag == step
+        vals = np.empty((rows.size, self.ys.shape[-1]))
+        past = tq <= self.start
+        if past.any():
+            vals[past] = self.history(tq[past], rows[past])
+        if not past.all():
+            sel = ~past
+            tq, r = tq[sel], rows[sel]
+            idx = np.searchsorted(self.ts[: self.n], tq, side="left") - 1
+            ta, tb = self.ts[idx], self.ts[idx + 1]
+            dt = (tb - ta)[:, None]
+            s = ((tq - ta) / (tb - ta))[:, None]
+            s2 = s * s
+            s3 = s2 * s
+            vals[sel] = (
+                (2 * s3 - 3 * s2 + 1) * self.ys[idx, r]
+                + (s3 - 2 * s2 + s) * dt * self.fs[idx, r]
+                + (-2 * s3 + 3 * s2) * self.ys[idx + 1, r]
+                + (s3 - s2) * dt * self.fs[idx + 1, r]
+            )
+        return vals
+
+    def __call__(self, t, y):
+        """The lagged states of stage (t, y), one (B, m) array per lag."""
+        # both middle RK4 stages share one time, and a step's last stage
+        # usually shares the next step's first: look up once per time
+        if self._key != (t, self.n):
+            self._key = (t, self.n)
+            self._past = [
+                self._lookup(t, rows, self.lags[rows, j]) for j, rows in enumerate(self.rows)
+            ]
+        out = []
+        for rows, vals in zip(self.rows, self._past):
+            lagged = y.copy()
+            lagged[rows] = vals
+            out.append(lagged)
+        return tuple(out)
 
 
 def dde_solve_batch(
@@ -263,145 +286,40 @@ def dde_solve_batch(
     thetas: np.ndarray,
     history_batch: Callable,
     times: Sequence[float],
-    tol: float = 1e-6,
+    step: float,
     t0: Optional[float] = None,
-    max_step: Optional[float] = None,
-    options: Optional[SimOptions] = None,
+    lag_floor: Optional[float] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Adaptive batch integration; returns (states (B, n, m), ok (B,)).
+    """Fixed-step RK4 batch integration; returns (states (B, n, m), ok (B,)).
 
     `history_batch(tq, rows)` supplies pre-t0 states for the given rows at
-    times tq (tq <= t0).  All rows share one adaptive grid; the step is
-    capped by the smallest positive lag so lagged lookups always land in
-    completed history.  Rows whose state blows up, or that would force the
-    shared step below the underflow floor, are invalidated and frozen
-    rather than aborting the whole batch.  `tol` is a trajectory-accuracy
-    target; the internal per-step tolerance is 100x stricter.
+    times tq (tq <= t0).  Lags below `lag_floor` (default: `step`) count as
+    zero; the grid step is min(step, lag_floor), so every positive lag spans
+    at least one step.  Rows with a negative lag fail, as do rows whose
+    state blows up; neither affects the other rows, and no row's result
+    depends on which rows share its batch.
     """
-    opts = options or SimOptions()
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    times, start = _grid(times, step, t0)
+    floor = float(step if lag_floor is None else lag_floor)
+    if floor <= 0:
+        raise ValueError("lag_floor must be > 0")
+    h = min(step, floor)
     thetas = np.asarray(thetas, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("record times must be strictly increasing")
     B = thetas.shape[0]
-    m = system.dim
-    start = times[0] if t0 is None else float(t0)
-    t_end = float(times[-1])
-    span = max(t_end - start, 1e-300)
-    h_floor = 1e-12 * span
-    h_max = max_step if max_step is not None else opts.dde_max_step_frac * span
-    loc_tol = tol / 100.0
-
     lags = resolve_lags(system, thetas)  # (B, L)
     ok = (lags >= 0.0).all(axis=1)  # anti-causal rows are invalid
-    lag_floor = opts.lag_floor_frac * span
-    lags = np.where(np.abs(lags) < lag_floor, 0.0, lags)
     lags[~ok] = 0.0
+    lags[lags < floor] = 0.0
 
-    y = history_batch(np.full(B, start), np.arange(B)).astype(float).copy()
+    y = np.array(history_batch(np.full(B, start), np.arange(B)), dtype=float)
     y[~ok] = 0.0
-
-    def lagged_states(t_stage, y_stage, hist):
-        out = []
-        for j in range(lags.shape[1]):
-            lag_j = lags[:, j]
-            vals = y_stage.copy()  # zero-lag rows use the current stage state
-            sel = lag_j > 0
-            if sel.any():
-                rows = np.nonzero(sel)[0]
-                tq = t_stage - lag_j[rows]
-                past = tq <= start + 1e-15
-                if past.any():
-                    r = rows[past]
-                    vals[r] = history_batch(tq[past], r)
-                if (~past).any():
-                    r = rows[~past]
-                    vals[r] = hist.interpolate(tq[~past], r)
-            out.append(vals)
-        return tuple(out)
-
-    def freeze(rows_mask):
-        nonlocal y
-        ok[rows_mask] = False
-        y = np.where(ok[:, None], y, 0.0)
-
+    ends = np.concatenate([[start], times[times > start]])
+    n_nodes = sum(_substeps(b - a, h) for a, b in zip(ends[:-1], ends[1:]))
+    lag = _HermiteLag(lags, history_batch, start, n_nodes, y.shape)
     with np.errstate(all="ignore"):
-        f0 = system.rhs(start, y, lagged_states(start, y, None), thetas)
-        hist = _DenseHistory(B, m, start, y, np.asarray(f0, dtype=float))
-
-        out = np.empty((B, len(times), m))
-        i_rec = 0
-        if times[0] <= start + 1e-15:
-            out[:, 0, :] = y
-            i_rec = 1
-
-        t = start
-        h = min(h_max, span / 50.0)
-        f_left = np.asarray(f0, dtype=float)
-        attempts = 0
-        max_attempts = 200_000
-        while i_rec < len(times):
-            if not ok.any():
-                out[:, i_rec:, :] = y[:, None, :]
-                break
-            pos = lags[ok]
-            pos = pos[pos > 0]
-            if pos.size:
-                h = min(h, pos.min())
-            h = min(h, h_max, times[i_rec] - t)
-            # attempt/shrink loop: one accepted step per pass of the outer loop
-            while True:
-                attempts += 1
-                ks = [f_left]
-                for s in range(1, 6):
-                    t_s = t + _CK_C[s] * h
-                    y_s = y + h * sum(a * k for a, k in zip(_CK_A[s], ks))
-                    ks.append(system.rhs(t_s, y_s, lagged_states(t_s, y_s, hist), thetas))
-                y5 = y + h * sum(b * k for b, k in zip(_CK_B5, ks))
-                y4 = y + h * sum(b * k for b, k in zip(_CK_B4, ks))
-                scale = loc_tol + loc_tol * np.maximum(np.abs(y), np.abs(np.where(np.isfinite(y5), y5, 0.0)))
-                err_rows = np.abs(y5 - y4) / scale
-                err_rows = np.where(np.isfinite(err_rows), err_rows, np.inf).max(axis=-1)
-                err_rows = np.where(np.isfinite(y5).all(axis=-1), err_rows, np.inf)
-                err_rows[~ok] = 0.0
-                err = err_rows.max()
-                if err <= 1.0:
-                    break
-                if attempts > max_attempts:
-                    freeze(ok & (err_rows > 1.0))
-                    break
-                shrink = 0.9 * err ** -0.2 if np.isfinite(err) else 0.1
-                h_new = h * max(min(shrink, 0.9), 0.1)
-                if h_new < h_floor:
-                    # shed the rows that demand an impossible step, keep h
-                    freeze(ok & (err_rows > 1.0))
-                    if not ok.any():
-                        break
-                else:
-                    h = h_new
-            if not ok.any():
-                out[:, i_rec:, :] = y[:, None, :]
-                break
-            y = np.where(ok[:, None], y5, 0.0)
-            blown = ok & (np.abs(y).max(axis=-1) > 1e100)
-            if blown.any():
-                freeze(blown)
-            t = t + h
-            f_left = np.asarray(
-                system.rhs(t, y, lagged_states(t, y, hist), thetas), dtype=float
-            )
-            f_left = np.where(ok[:, None], f_left, 0.0)
-            if not hist.append(t, y, f_left):
-                freeze(ok)
-                out[:, i_rec:, :] = y[:, None, :]
-                break
-            if t >= times[i_rec] - 1e-12 * max(1.0, abs(times[i_rec])):
-                out[:, i_rec, :] = y
-                i_rec += 1
-            grow = 0.9 * err ** -0.2 if err > 0 else 5.0
-            h = min(h * min(max(grow, 1.0), 5.0), h_max)
+        out = _rk4_march(
+            lambda t, s: system.rhs(t, s, lag(t, s), thetas), y, ok, times, start, h, lag.push
+        )
     return out, ok
 
 
@@ -410,12 +328,11 @@ def dde_solve(
     theta: np.ndarray,
     history: Callable,
     times: Sequence[float],
-    tol: float = 1e-6,
+    step: float,
     t0: Optional[float] = None,
-    max_step: Optional[float] = None,
-    options: Optional[SimOptions] = None,
+    lag_floor: Optional[float] = None,
 ) -> Trajectory:
-    """Adaptive delay-equation solve with continuous history lookup.
+    """Fixed-step delay-equation solve with Hermite lag lookup.
 
     `history(t)` returns the state for t <= t0 (scalar or array t).
     """
@@ -427,11 +344,9 @@ def dde_solve(
             vals = np.broadcast_to(vals, (len(tq), system.dim))
         return vals
 
-    states, ok = dde_solve_batch(
-        system, theta[None, :], history_batch, times, tol, t0, max_step, options
-    )
+    states, ok = dde_solve_batch(system, theta[None, :], history_batch, times, step, t0, lag_floor)
     if not ok[0]:
-        raise SimulationFailure("DDE state became non-finite or step size underflowed")
+        raise SimulationFailure("DDE state became non-finite or its lag is negative")
     return Trajectory(np.asarray(times, dtype=float), states[0])
 
 
@@ -530,34 +445,16 @@ def simulate_model_batch(
     if thetas.ndim != 2:
         raise ValueError("thetas must be a (B, k) array")
     kind = model.kind
-    if kind == "ode":
+    if kind in ("ode", "dde"):
         x0s = _resolve_x0(model, thetas)
         span = float(times[-1]) - model.t0
         step = span / model.sim.rk4_steps
-        return rk4_solve_batch(model.system, thetas, x0s, times, step, t0=model.t0)
-    if kind == "dde":
-        x0s = _resolve_x0(model, thetas)
-        B = thetas.shape[0]
-        # the shared adaptive grid is capped by the smallest positive lag in
-        # the batch, so group rows of similar lag to keep large-lag rows fast
-        lag_min = resolve_lags(model.system, thetas).min(axis=1)
-        order = np.argsort(lag_min, kind="stable")
-        chunk = 512
-        out = np.empty((B, len(times), model.system.dim))
-        ok = np.ones(B, dtype=bool)
-        for lo in range(0, B, chunk):
-            rows = order[lo : lo + chunk]
-
-            def history_batch(tq, sub_rows, rows=rows):
-                return x0s[rows[sub_rows]]
-
-            states_c, ok_c = dde_solve_batch(
-                model.system, thetas[rows], history_batch, times,
-                tol=model.sim.dde_tol, t0=model.t0, options=model.sim,
-            )
-            out[rows] = states_c
-            ok[rows] = ok_c
-        return out, ok
+        if kind == "ode":
+            return rk4_solve_batch(model.system, thetas, x0s, times, step, t0=model.t0)
+        return dde_solve_batch(
+            model.system, thetas, lambda tq, rows: x0s[rows], times, step,
+            t0=model.t0, lag_floor=model.sim.lag_floor_frac * span,
+        )
     if kind == "ssa":
         if rng is None:
             raise ValueError("stochastic simulation requires an rng")
