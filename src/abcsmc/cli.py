@@ -47,7 +47,7 @@ from .samplers import (
     abc_smc,
     abc_smc_model_selection,
 )
-from .simulate import simulate_model
+from .simulate import SimulationFailure, simulate_model_batch
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -453,6 +453,20 @@ def _run_select(cfg: RunConfig, args) -> int:
     return EXIT_BUDGET if partial else EXIT_OK
 
 
+def _theta(cfg: RunConfig, model) -> np.ndarray:
+    theta = np.array(cfg.floats("theta"))
+    if theta.shape != (model.n_params,):
+        raise cfg.error("theta", f"model '{model.name}' needs {model.n_params} values")
+    return theta
+
+
+def _times(cfg: RunConfig, model) -> np.ndarray:
+    times = np.array(cfg.floats("times"))
+    if times.size == 0 or np.any(np.diff(times) <= 0) or times[0] < model.t0:
+        raise cfg.error("times", f"expected strictly increasing times from t0 = {model.t0}")
+    return times
+
+
 def _run_simulate(cfg: RunConfig, args) -> int:
     model_name = cfg.get("model")
     if model_name is None:
@@ -460,17 +474,17 @@ def _run_simulate(cfg: RunConfig, args) -> int:
     model = get_model(model_name)
     if "theta" not in cfg.values:
         raise ConfigError(f"{cfg.path}: 'theta =' is required for task 'simulate'")
-    theta = np.array(cfg.floats("theta"))
-    if theta.shape != (model.n_params,):
-        raise cfg.error("theta", f"model '{model.name}' needs {model.n_params} values")
+    theta = _theta(cfg, model)
     if "times" not in cfg.values:
         raise ConfigError(f"{cfg.path}: 'times =' is required for task 'simulate'")
-    times = np.array(cfg.floats("times"))
+    times = _times(cfg, model)
     seed, out = _common_run_prep(cfg, args)
-    traj = simulate_model(model, theta, times, task_rng(seed))
+    states, ok = simulate_model_batch(model, theta[None, :], times, task_rng(seed))
+    if not ok[0]:
+        raise cfg.error("theta", f"simulation of '{model.name}' failed at these values")
     lines = ["t," + ",".join(model.species)]
-    for i, t in enumerate(times):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in traj.states[i]]))
+    for t, row in zip(times, states[0]):
+        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
     (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
     write_stamp(out, cfg, seed)
     return EXIT_OK
@@ -482,13 +496,20 @@ def _run_generate(cfg: RunConfig, args) -> int:
         raise ConfigError(f"{cfg.path}: setup has no data recipe to generate from")
     recipe = setup.recipe
     model = recipe.model
-    true_theta = np.array(cfg.floats("theta")) if "theta" in cfg.values else recipe.true_theta
-    times = np.array(cfg.floats("times")) if "times" in cfg.values else recipe.times
+    true_theta = _theta(cfg, model) if "theta" in cfg.values else recipe.true_theta
+    times = _times(cfg, model) if "times" in cfg.values else recipe.times
     noise = cfg.floatval("noise_sd", recipe.noise_sd)
+    if noise < 0:
+        raise cfg.error("noise_sd", "must be >= 0")
     replicates = cfg.intval("replicates", recipe.replicates)
+    if replicates < 1:
+        raise cfg.error("replicates", "must be >= 1")
     seed, out = _common_run_prep(cfg, args)
     recipe = DataRecipe(model, true_theta, times, noise, replicates)
-    dataset = generate_data(recipe, task_rng(seed))
+    try:
+        dataset = generate_data(recipe, task_rng(seed))
+    except SimulationFailure as e:
+        raise cfg.error("theta", str(e)) from None
     write_dataset(dataset, out / "dataset.csv")
     write_stamp(out, cfg, seed)
     return EXIT_OK

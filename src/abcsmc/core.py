@@ -1,7 +1,7 @@
 """Domain types and probabilistic primitives shared by all samplers.
 
-Parameter vectors are plain float64 numpy arrays; coordinates flagged as
-discrete (integer-valued) hold integral values and are sampled/perturbed on
+Parameter vectors are plain float64 numpy arrays; coordinates with a
+`DiscreteUniform` prior hold integral values and are sampled/perturbed on
 the integer lattice.
 """
 from __future__ import annotations
@@ -68,35 +68,15 @@ class PriorSpec:
     def dim(self) -> int:
         return len(self.marginals)
 
-    @property
-    def discrete_mask(self) -> np.ndarray:
-        return np.array([isinstance(m, DiscreteUniform) for m in self.marginals])
-
-    @property
-    def lows(self) -> np.ndarray:
-        return np.array([m.lo for m in self.marginals], dtype=float)
-
-    @property
-    def highs(self) -> np.ndarray:
-        return np.array([m.hi for m in self.marginals], dtype=float)
-
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Draw one theta (size=None) or a (size, k) batch from the prior."""
-        n = 1 if size is None else size
-        out = np.empty((n, self.dim))
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw a (size, k) batch from the prior."""
+        out = np.empty((size, self.dim))
         for j, m in enumerate(self.marginals):
             if isinstance(m, DiscreteUniform):
-                out[:, j] = rng.integers(m.lo, m.hi + 1, size=n)
+                out[:, j] = rng.integers(m.lo, m.hi + 1, size=size)
             else:
-                out[:, j] = rng.uniform(m.lo, m.hi, size=n)
-        return out[0] if size is None else out
-
-    def density(self, theta: np.ndarray) -> float:
-        """Product of per-coordinate densities; 0 outside the support box."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
-            raise ValueError(f"theta has shape {theta.shape}, prior dimension is {self.dim}")
-        return float(self.density_many(theta[None, :])[0])
+                out[:, j] = rng.uniform(m.lo, m.hi, size=size)
+        return out
 
     def density_many(self, thetas: np.ndarray) -> np.ndarray:
         """Vectorized density over rows of a (n, k) array."""
@@ -182,14 +162,8 @@ class KernelSpec:
                 walks.append(UniformWalk(float(s)))
         return cls(tuple(walks))
 
-    def perturb(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """theta + symmetric per-coordinate noise; integers stay integers."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
-            raise ValueError(f"theta has shape {theta.shape}, kernel dimension is {self.dim}")
-        return self.perturb_many(theta[None, :], rng)[0]
-
     def perturb_many(self, thetas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Each row plus symmetric per-coordinate noise; integers stay integers."""
         thetas = np.asarray(thetas, dtype=float)
         n = thetas.shape[0]
         out = thetas.copy()
@@ -202,16 +176,9 @@ class KernelSpec:
                 out[:, j] += w.sigma * rng.uniform(-1.0, 1.0, size=n)
         return out
 
-    def density(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Transition density K(a -> b); symmetric in (a, b)."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.shape != (self.dim,) or b.shape != (self.dim,):
-            raise ValueError("kernel density arguments must match the kernel dimension")
-        return float(self.density_matrix(a[None, :], b[None, :])[0, 0])
-
     def density_matrix(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """(n_targets, n_sources) matrix of K(source -> target) values."""
+        """(n_targets, n_sources) matrix of K(source -> target) values; K is
+        symmetric in (source, target)."""
         sources = np.asarray(sources, dtype=float)
         targets = np.asarray(targets, dtype=float)
         delta = targets[:, None, :] - sources[None, :, :]  # (T, S, k)

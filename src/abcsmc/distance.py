@@ -1,8 +1,9 @@
 """Distance functions between observed and simulated datasets.
 
 Datasets carry a full species matrix plus an observability mask; distances
-are computed over the masked (observed) entries only.  Array cores with a
-leading batch axis back the samplers; the Dataset-level functions wrap them.
+are computed over the masked (observed) entries only, by array functions
+with a leading batch axis that take `Dataset.observed_values()` as the
+observation.
 """
 from __future__ import annotations
 
@@ -102,29 +103,6 @@ def distance_fn(name: str):
 # ---------------------------------------------------------------------------
 # Dataset-level operations
 # ---------------------------------------------------------------------------
-
-def sse_distance(a: Dataset, b: Dataset) -> float:
-    """Sum of squared differences over the observed entries."""
-    av, bv = _paired(a, b)
-    return float(sse_many(av, bv))
-
-
-def l1_distance(a: Dataset, b: Dataset) -> float:
-    """Sum of absolute differences over the observed entries."""
-    av, bv = _paired(a, b)
-    return float(l1_many(av, bv))
-
-
-def cosine_distance(a: Dataset, b: Dataset) -> float:
-    """Per-species cosine dissimilarities summed; in [0, 2 * #species].
-
-    Raises on a zero-norm species column in either dataset.
-    """
-    av, bv = _paired(a, b)
-    if np.any(np.linalg.norm(bv, axis=0) == 0):
-        raise ValueError("cosine distance undefined: species column has zero norm")
-    return float(cosine_many(av, bv))
-
 
 def gaussian_loglik(a: Dataset, b: Dataset, sigma: float) -> float:
     """Log-likelihood of `a` under i.i.d. Gaussian errors around `b`.

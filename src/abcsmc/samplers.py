@@ -78,16 +78,12 @@ class AcceptanceTest:
         best = np.full(B, np.inf)
         times = self.dataset.times
         for _ in range(self.sim_trials):
-            if self.replicates == 1:
-                states, ok = simulate_model_batch(model, thetas, times, rng)
-            else:
-                states = None
-                ok = np.ones(B, dtype=bool)
-                for _ in range(self.replicates):
-                    s, o = simulate_model_batch(model, thetas, times, rng)
-                    states = s if states is None else states + s
-                    ok &= o
-                states = states / self.replicates
+            states, ok = simulate_model_batch(model, thetas, times, rng)
+            for _ in range(self.replicates - 1):
+                s, o = simulate_model_batch(model, thetas, times, rng)
+                states = states + s
+                ok = ok & o
+            states = states / self.replicates
             with np.errstate(all="ignore"):
                 d = dist(obs, states[:, :, cols])
             d = np.where(ok & np.isfinite(d), d, np.inf)
@@ -416,33 +412,33 @@ def abc_mcmc(
     if theta0 is None:
         budget = int(math.ceil(1.0 / config.acceptance_floor))
         while True:
-            theta = prior.sample(rng)
+            theta = prior.sample(rng, 1)
             sims += config.replicates
-            _, best = test.evaluate_batch(model, theta[None, :], rng)
+            _, best = test.evaluate_batch(model, theta, rng)
             if best[0] <= epsilon:
                 break
             if sims > budget:
                 raise BudgetExceeded("could not find an initial state within tolerance")
     else:
-        theta = np.asarray(theta0, dtype=float)
-        if prior.density(theta) <= 0:
-            raise ConfigError("initial state has zero prior density")
+        theta = np.asarray(theta0, dtype=float).reshape(1, -1)
+    dens_cur = prior.density_many(theta)[0]
+    if dens_cur <= 0:
+        raise ConfigError("initial state has zero prior density")
 
     chain = np.empty((chain_length + 1, prior.dim))
     chain[0] = theta
-    dens_cur = prior.density(theta)
     for i in range(chain_length):
         proposals += 1
         if adapt:
             step = scale * sigmas * rng.standard_normal(prior.dim)
             cand = theta + step
         else:
-            cand = kernel.perturb(theta, rng)
-        dens_cand = prior.density(cand)
+            cand = kernel.perturb_many(theta, rng)
+        dens_cand = prior.density_many(cand)[0]
         moved = False
         if dens_cand > 0.0:
             sims += config.replicates
-            hits, best = test.evaluate_batch(model, cand[None, :], rng)
+            _, best = test.evaluate_batch(model, cand, rng)
             if best[0] <= epsilon:
                 passed += 1
                 alpha = min(1.0, dens_cand / dens_cur)

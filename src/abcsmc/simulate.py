@@ -6,13 +6,12 @@ zero-lag case of a delay system: both march one uniform grid that lands on
 every record time, and a delay system also stores each node's state and
 derivative so that lagged states are cubic Hermite interpolants of completed
 nodes (Bellen & Zennaro, Numerical Methods for Delay Differential
-Equations, 2003).  Every engine has a batch path that advances many
-parameter vectors at once on shared numpy arrays; samplers rely on it for
-throughput.
+Equations, 2003).  The deterministic engines advance a (B, k) batch of
+parameter vectors at once on shared numpy arrays; a single run is a batch
+of one row.
 
 Right-hand sides are written broadcast-friendly: state has shape (..., m),
-theta (..., k), and the returned derivative (..., m), so the same callable
-serves single runs and batches.
+theta (..., k), and the returned derivative (..., m).
 """
 from __future__ import annotations
 
@@ -26,22 +25,6 @@ import numpy as np
 class SimulationFailure(RuntimeError):
     """Simulation could not produce a finite trajectory (blowup, underflow,
     runaway event count).  Samplers treat this as distance = infinity."""
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray  # (n,)
-    states: np.ndarray  # (n, m)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.states, dtype=float)
-        if s.ndim != 2 or s.shape[0] != t.shape[0]:
-            raise ValueError(f"states shape {s.shape} does not match {t.shape[0]} times")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("trajectory times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
 
 
 @dataclass(frozen=True)
@@ -175,26 +158,6 @@ def rk4_solve_batch(
     return out, ok
 
 
-def rk4_solve(
-    system: OdeSystem,
-    theta: np.ndarray,
-    x0: np.ndarray,
-    times: Sequence[float],
-    step: float,
-    t0: Optional[float] = None,
-) -> Trajectory:
-    """Classical fixed-step RK4, sampled at the requested times.
-
-    Record times are landed on exactly (each segment takes uniform substeps
-    no longer than `step`).  Non-finite states raise SimulationFailure.
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    states, ok = rk4_solve_batch(system, theta[None, :], np.asarray(x0, dtype=float), times, step, t0)
-    if not ok[0]:
-        raise SimulationFailure("ODE state became non-finite")
-    return Trajectory(np.asarray(times, dtype=float), states[0])
-
-
 def resolve_lags(system: DdeSystem, thetas: np.ndarray) -> np.ndarray:
     """Concrete lag values, shape (B, n_lags).
 
@@ -323,45 +286,6 @@ def dde_solve_batch(
     return out, ok
 
 
-def dde_solve(
-    system: DdeSystem,
-    theta: np.ndarray,
-    history: Callable,
-    times: Sequence[float],
-    step: float,
-    t0: Optional[float] = None,
-    lag_floor: Optional[float] = None,
-) -> Trajectory:
-    """Fixed-step delay-equation solve with Hermite lag lookup.
-
-    `history(t)` returns the state for t <= t0 (scalar or array t).
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-
-    def history_batch(tq, rows):
-        vals = np.asarray(history(tq), dtype=float)
-        if vals.ndim == 1:
-            vals = np.broadcast_to(vals, (len(tq), system.dim))
-        return vals
-
-    states, ok = dde_solve_batch(system, theta[None, :], history_batch, times, step, t0, lag_floor)
-    if not ok[0]:
-        raise SimulationFailure("DDE state became non-finite or its lag is negative")
-    return Trajectory(np.asarray(times, dtype=float), states[0])
-
-
-def constant_history(x0: np.ndarray) -> Callable:
-    x0 = np.asarray(x0, dtype=float)
-
-    def history(t):
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return x0
-        return np.broadcast_to(x0, (t.shape[0], x0.shape[0]))
-
-    return history
-
-
 # ---------------------------------------------------------------------------
 # Gillespie stochastic simulation
 # ---------------------------------------------------------------------------
@@ -374,11 +298,13 @@ def gillespie(
     rng: np.random.Generator,
     t0: float = 0.0,
     max_events: Optional[int] = None,
-) -> Trajectory:
-    """Exact stochastic simulation (direct method).
+) -> np.ndarray:
+    """Exact stochastic simulation (direct method); returns the (n, m)
+    states at the n record times.
 
     State is recorded last-event-carried-forward at each record time.  When
     the total hazard reaches zero the state is held constant (absorption).
+    More than `max_events` events raise SimulationFailure.
     """
     x = np.asarray(x0, dtype=float)
     if np.any(x < 0) or np.any(x != np.round(x)):
@@ -388,7 +314,6 @@ def gillespie(
         raise ValueError("record times must be strictly increasing")
     cap = max_events if max_events is not None else SimOptions().ssa_max_events
     changes = network.change_matrix()
-    hazard_fns = [h for _, h in network.reactions]
     theta = np.asarray(theta, dtype=float)
 
     n_rec = len(record_times)
@@ -398,7 +323,7 @@ def gillespie(
     i_rec = 0
     events = 0
     while i_rec < n_rec:
-        a = np.array([h(x, theta) for h in hazard_fns], dtype=float)
+        a = network.hazards(x, theta)
         np.clip(a, 0.0, None, out=a)
         a0 = a.sum()
         if a0 <= 0.0 or not np.isfinite(a0):
@@ -416,7 +341,7 @@ def gillespie(
         if events > cap:
             raise SimulationFailure(f"SSA exceeded {cap} events")
     out[i_rec:] = x
-    return Trajectory(record_times, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +389,10 @@ def simulate_model_batch(
         ok = np.ones(B, dtype=bool)
         for b in range(B):
             try:
-                traj = gillespie(
+                out[b] = gillespie(
                     model.system, thetas[b], x0s[b], times, rng,
                     t0=model.t0, max_events=model.sim.ssa_max_events,
                 )
-                out[b] = traj.states
             except SimulationFailure:
                 out[b] = 0.0
                 ok[b] = False
@@ -479,35 +403,3 @@ def simulate_model_batch(
         states = np.asarray(model.system.sample(thetas, np.asarray(times, dtype=float), rng), dtype=float)
         return states, np.isfinite(states).all(axis=(1, 2))
     raise ValueError(f"unknown model kind '{kind}'")
-
-
-def simulate_model(
-    model,
-    theta: np.ndarray,
-    times: Sequence[float],
-    rng: Optional[np.random.Generator] = None,
-) -> Trajectory:
-    """Single-run version of the uniform contract; raises on failure."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    states, ok = simulate_model_batch(model, theta[None, :], times, rng)
-    if not ok[0]:
-        raise SimulationFailure(f"simulation of '{model.name}' failed")
-    return Trajectory(np.asarray(times, dtype=float), states[0])
-
-
-def simulate_replicates(
-    model,
-    theta: np.ndarray,
-    times: Sequence[float],
-    replicates: int,
-    rng: Optional[np.random.Generator] = None,
-) -> Trajectory:
-    """Pointwise mean of independent replicate trajectories."""
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    thetas = np.repeat(theta[None, :], replicates, axis=0)
-    states, ok = simulate_model_batch(model, thetas, times, rng)
-    if not ok.all():
-        raise SimulationFailure(f"a replicate simulation of '{model.name}' failed")
-    return Trajectory(np.asarray(times, dtype=float), states.mean(axis=0))

@@ -21,7 +21,7 @@ from abcsmc.core import (
     task_rng,
     uniform_box,
 )
-from abcsmc.distance import Dataset, gaussian_loglik, sse_distance
+from abcsmc.distance import Dataset, gaussian_loglik, sse_many
 from abcsmc.models import DataRecipe, generate_data
 
 
@@ -197,7 +197,8 @@ def test_criterion_7_loglik_sse_identity_on_lv():
     worst = 0.0
     for b in range(1, 100):
         other = Dataset(times, states[b], model.species, model.observed)
-        lhs = gaussian_loglik(base, other, sigma) + sse_distance(base, other) / (2 * sigma**2)
+        sse = sse_many(base.observed_values(), other.observed_values())
+        lhs = gaussian_loglik(base, other, sigma) + sse / (2 * sigma**2)
         worst = max(worst, abs(lhs - const))
     ok = worst <= 1e-10
     report("7 (log-likelihood identity)", ok, f"max deviation = {worst:.2e}")
@@ -207,27 +208,28 @@ def test_criterion_8_solver_suite():
     """RK4 order, delay-solver consistency, exact-sampler moments."""
     # RK4 order on exponential decay
     decay = simulate.OdeSystem(1, lambda t, s, th: -s)
+    one_row = np.zeros((1, 1))  # neither system reads a parameter
 
     def err(h):
-        traj = simulate.rk4_solve(decay, np.array([0.0]), np.array([1.0]), [1.0], step=h, t0=0.0)
-        return abs(traj.states[0, 0] - math.exp(-1))
+        states, _ = simulate.rk4_solve_batch(decay, one_row, np.array([1.0]), [1.0], step=h, t0=0.0)
+        return abs(states[0, 0, 0] - math.exp(-1))
 
     order = math.log2(err(0.02) / err(0.01))
 
     # zero-lag delay solve agrees with RK4
     dde = simulate.DdeSystem(1, (0.0,), lambda t, s, lagged, th: -lagged[0])
     times = [0.25, 0.5, 1.0]
-    dtraj = simulate.dde_solve(
-        dde, np.array([0.0]), simulate.constant_history(np.array([1.0])), times, step=0.01, t0=0.0
+    dstates, _ = simulate.dde_solve_batch(
+        dde, one_row, lambda tq, rows: np.ones((len(tq), 1)), times, step=0.01, t0=0.0
     )
-    rtraj = simulate.rk4_solve(decay, np.array([0.0]), np.array([1.0]), times, step=1e-3, t0=0.0)
-    dde_gap = np.abs(dtraj.states - rtraj.states).max()
+    rstates, _ = simulate.rk4_solve_batch(decay, one_row, np.array([1.0]), times, step=1e-3, t0=0.0)
+    dde_gap = np.abs(dstates - rstates).max()
 
     # pure death: mean of X(1) over 10^4 runs vs 100 e^-1
     rng = task_rng(42)
     death = simulate.ReactionNetwork(1, ((np.array([-1]), lambda s, th: th[0] * s[0]),))
     finals = np.array(
-        [simulate.gillespie(death, np.array([1.0]), [100], [1.0], rng).states[0, 0] for _ in range(10_000)]
+        [simulate.gillespie(death, np.array([1.0]), [100], [1.0], rng)[0, 0] for _ in range(10_000)]
     )
     mean_gap = abs(finals.mean() - 100 * math.exp(-1))
     death_se = finals.std(ddof=1) / 100.0
@@ -236,7 +238,7 @@ def test_criterion_8_solver_suite():
     imm = simulate.ReactionNetwork(1, ((np.array([1]), lambda s, th: th[0]),))
     rng = task_rng(7)
     finals = np.array(
-        [simulate.gillespie(imm, np.array([5.0]), [0], [2.0], rng).states[0, 0] for _ in range(10_000)]
+        [simulate.gillespie(imm, np.array([5.0]), [0], [2.0], rng)[0, 0] for _ in range(10_000)]
     )
     dispersion = finals.var(ddof=1) / finals.mean()
 

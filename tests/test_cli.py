@@ -152,10 +152,10 @@ def test_generate_data_zero_noise_equals_trajectory(tmp_path):
     code = cli.main(["generate-data", "--config", cfgp, "--out", str(out), "--seed", "3"])
     assert code == 0
     ds = cli.load_dataset(str(out / "dataset.csv"))
-    from abcsmc.simulate import simulate_model
+    from abcsmc.simulate import simulate_model_batch
 
-    traj = simulate_model(models.lv_ode(), np.array([1.0, 1.0]), ds.times)
-    assert np.allclose(ds.observed_values(), traj.states, atol=1e-12)
+    states, _ = simulate_model_batch(models.lv_ode(), np.array([[1.0, 1.0]]), ds.times)
+    assert np.allclose(ds.observed_values(), states[0], atol=1e-12)
 
 
 def test_simulate_task_writes_trajectory(tmp_path):
@@ -169,6 +169,28 @@ def test_simulate_task_writes_trajectory(tmp_path):
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,prey,predator"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("task, text, line", [
+    # a theta whose simulation blows up
+    ("simulate", "model = lv_ode\ntheta = 50, 50\ntimes = 1, 3, 5\n", 2),
+    ("generate-data", "setup = lv_ode\ntheta = 50, 50\n", 2),
+    # the wrong number of theta values
+    ("generate-data", "setup = lv_ode\ntheta = 1, 1, 1\n", 2),
+    ("generate-data", "setup = lv_ode\ntheta = 1\n", 2),
+    # record times out of order
+    ("simulate", "model = lv_ode\ntheta = 1, 1\ntimes = 5, 1\n", 3),
+    ("generate-data", "setup = lv_ode\ntimes = 5, 1\n", 2),
+    # no replicate to average, and a negative noise level
+    ("generate-data", "setup = lv_ode\nnoise_sd = 0\nreplicates = 0\n", 3),
+    ("generate-data", "setup = lv_ode\nnoise_sd = -1\n", 2),
+], ids=["simulate-blowup", "generate-blowup", "generate-3-values", "generate-1-value",
+        "simulate-times", "generate-times", "generate-replicates", "generate-noise"])
+def test_simulation_task_input_errors_name_the_line(tmp_path, capsys, task, text, line):
+    cfgp = write_config(tmp_path, text)
+    code = cli.main([task, "--config", cfgp, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert f"run.cfg:{line}:" in capsys.readouterr().err
 
 
 def test_infer_writes_populations_ledger_and_stamp(tmp_path, lv_dataset):

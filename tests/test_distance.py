@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 
 from abcsmc import models
 from abcsmc.core import task_rng
-from abcsmc.distance import (
-    Dataset,
-    cosine_distance,
-    gaussian_loglik,
-    l1_distance,
-    sse_distance,
-    sse_many,
-)
+from abcsmc.distance import Dataset, cosine_many, gaussian_loglik, l1_many, sse_many
 from abcsmc.simulate import simulate_model_batch
 
 
@@ -26,6 +19,14 @@ def _ds(values, species=None, observed=None):
     return Dataset(np.arange(1.0, n + 1.0), values, species, observed)
 
 
+def sse(a, b):
+    return sse_many(a.observed_values(), b.observed_values())
+
+
+def l1(a, b):
+    return l1_many(a.observed_values(), b.observed_values())
+
+
 finite_rows = st.lists(
     st.lists(st.floats(-100, 100), min_size=2, max_size=2), min_size=3, max_size=6
 )
@@ -33,34 +34,34 @@ finite_rows = st.lists(
 
 def test_sse_identical_is_zero():
     a = _ds([[1.0, 2.0], [3.0, 4.0]])
-    assert sse_distance(a, a) == 0.0
+    assert sse(a, a) == 0.0
 
 
 def test_sse_single_entry():
     a = _ds([[1.0]])
     b = _ds([[3.0]])
-    assert sse_distance(a, b) == 4.0
+    assert sse(a, b) == 4.0
 
 
 def test_l1_examples():
     a = _ds([[1.0, 1.0]])
-    assert l1_distance(a, a) == 0.0
+    assert l1(a, a) == 0.0
     b = _ds([[3.0, 1.0]])
-    assert l1_distance(a, b) == 2.0
+    assert l1(a, b) == 2.0
 
 
 def test_shape_mismatch_raises():
     a = _ds([[1.0, 2.0]])
     b = _ds([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ValueError):
-        sse_distance(a, b)
+        gaussian_loglik(a, b, 1.0)
 
 
 def test_masked_entries_ignored():
     values = np.array([[1.0, np.nan], [2.0, np.nan]])
     a = Dataset(np.array([1.0, 2.0]), values, ("x", "y"), (0,))
     b = Dataset(np.array([1.0, 2.0]), values + np.array([[1.0, 0.0]]), ("x", "y"), (0,))
-    assert sse_distance(a, b) == 2.0
+    assert sse(a, b) == 2.0
 
 
 @given(finite_rows, finite_rows, finite_rows)
@@ -68,7 +69,7 @@ def test_masked_entries_ignored():
 def test_l1_triangle_inequality(xs, ys, zs):
     n = min(len(xs), len(ys), len(zs))
     a, b, c = _ds(xs[:n]), _ds(ys[:n]), _ds(zs[:n])
-    assert l1_distance(a, c) <= l1_distance(a, b) + l1_distance(b, c) + 1e-9
+    assert l1(a, c) <= l1(a, b) + l1(b, c) + 1e-9
 
 
 @given(finite_rows, finite_rows)
@@ -76,26 +77,27 @@ def test_l1_triangle_inequality(xs, ys, zs):
 def test_distances_symmetric_nonnegative(xs, ys):
     n = min(len(xs), len(ys))
     a, b = _ds(xs[:n]), _ds(ys[:n])
-    for dist in (sse_distance, l1_distance):
+    for dist in (sse, l1):
         assert dist(a, b) == dist(b, a)
         assert dist(a, b) >= 0.0
         assert dist(a, a) == 0.0
 
 
 def test_cosine_examples():
-    a = _ds([[1.0, 2.0], [2.0, 1.0], [3.0, 5.0]])
-    b = _ds(3.0 * a.values)
-    anti = _ds(-a.values)
-    assert cosine_distance(a, a) == pytest.approx(0.0, abs=1e-12)
-    assert cosine_distance(a, b) == pytest.approx(0.0, abs=1e-12)
-    assert cosine_distance(a, anti) == pytest.approx(4.0)  # 2 per species
+    obs = _ds([[1.0, 2.0], [2.0, 1.0], [3.0, 5.0]]).observed_values()
+    d = cosine_many(obs, np.stack([obs, 3.0 * obs, -obs]))
+    assert d[:2] == pytest.approx([0.0, 0.0], abs=1e-12)
+    assert d[2] == pytest.approx(4.0)  # 2 per species
 
 
-def test_cosine_zero_norm_column_raises():
-    a = _ds([[1.0, 2.0], [2.0, 1.0]])
-    b = _ds([[0.0, 1.0], [0.0, 2.0]])
+def test_cosine_zero_norm_columns():
+    # a zero-norm observed column has no cosine; a zero-norm simulated
+    # column makes that candidate unrankable
+    obs = np.array([[1.0, 2.0], [2.0, 1.0]])
+    zero_col = np.array([[0.0, 1.0], [0.0, 2.0]])
     with pytest.raises(ValueError):
-        cosine_distance(a, b)
+        cosine_many(zero_col, obs[None])
+    assert np.array_equal(cosine_many(obs, np.stack([zero_col, obs])) == np.inf, [True, False])
 
 
 def test_gaussian_loglik_identical_datasets():
@@ -110,7 +112,7 @@ def test_loglik_sse_affine_identity(xs, ys, sigma):
     n = min(len(xs), len(ys))
     a, b = _ds(xs[:n]), _ds(ys[:n])
     entries = 2 * n
-    lhs = gaussian_loglik(a, b, sigma) + sse_distance(a, b) / (2 * sigma**2)
+    lhs = gaussian_loglik(a, b, sigma) + sse(a, b) / (2 * sigma**2)
     rhs = -(entries / 2) * math.log(2 * math.pi * sigma**2)
     assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(rhs)))
 

@@ -3,7 +3,7 @@ import pytest
 
 from abcsmc import models
 from abcsmc.core import task_rng
-from abcsmc.distance import sse_distance
+from abcsmc.distance import sse_many
 from abcsmc.models import (
     DataRecipe,
     generate_data,
@@ -19,7 +19,18 @@ from abcsmc.models import (
     sir_sirs,
     tristan_dataset,
 )
-from abcsmc.simulate import simulate_model
+from abcsmc.simulate import simulate_model_batch
+
+
+def simulate_one(model, theta, times):
+    """The (n, m) states of one deterministic run, which must succeed."""
+    states, ok = simulate_model_batch(model, np.asarray(theta, dtype=float)[None, :], times)
+    assert ok[0]
+    return states[0]
+
+
+def sse(a, b):
+    return sse_many(a.observed_values(), b.observed_values())
 
 
 def test_lv_fixed_point():
@@ -46,7 +57,7 @@ def test_lv_noisy_dataset_sse_concentrates_near_four():
     sses = []
     for _ in range(300):
         ds = generate_data(setup.recipe, rng)
-        sses.append(sse_distance(ds, noiseless))
+        sses.append(sse(ds, noiseless))
     assert abs(np.mean(sses) - 4.0) < 0.25
     # individual draws live in the chi-square band
     assert np.quantile(sses, 0.99) < 8.3 + 1.0
@@ -56,8 +67,8 @@ def test_generate_data_zero_noise_equals_trajectory():
     model = lv_ode()
     recipe = DataRecipe(model, (1.0, 1.0), models.LV_TIMES, 0.0)
     ds = generate_data(recipe, task_rng(1))
-    traj = simulate_model(model, np.array([1.0, 1.0]), models.LV_TIMES)
-    assert np.array_equal(ds.observed_values(), traj.states)
+    states = simulate_one(model, [1.0, 1.0], models.LV_TIMES)
+    assert np.array_equal(ds.observed_values(), states)
 
 
 def test_generate_data_mean_sse_matches_noise_level():
@@ -67,7 +78,7 @@ def test_generate_data_mean_sse_matches_noise_level():
     recipe = DataRecipe(model, models.SIR_TRUE, times, 0.2)
     noiseless = generate_data(DataRecipe(model, models.SIR_TRUE, times, 0.0), task_rng(0))
     rng = task_rng(31)
-    sses = [sse_distance(generate_data(recipe, rng), noiseless) for _ in range(1000)]
+    sses = [sse(generate_data(recipe, rng), noiseless) for _ in range(1000)]
     expected = noiseless.observed_values().size * 0.04
     assert abs(np.mean(sses) - expected) < 0.1
 
@@ -94,8 +105,7 @@ def test_lv_ssa_recipe_constants():
 
 def test_repressilator_limit_cycle_at_standard_parameters():
     model = repressilator_ode()
-    traj = simulate_model(model, np.array(models.REPRESSILATOR_TRUE), models.REPRESSILATOR_TIMES)
-    m1 = traj.states[:, 0]
+    m1 = simulate_one(model, models.REPRESSILATOR_TRUE, models.REPRESSILATOR_TIMES)[:, 0]
     assert m1.max() - m1.min() > 5.0  # swings exceed the observation noise sd
 
 
@@ -132,10 +142,10 @@ def test_sir_decoupled_decay():
         theta = np.zeros(model.n_params)
         theta[list(model.param_names).index("v")] = 0.5
         times = np.array([1.0, 2.0, 4.0, 8.0])
-        traj = simulate_model(model, theta, times)
+        states = simulate_one(model, theta, times)
         i_col = model.species.index("I")
         expected = 10.0 * np.exp(-0.5 * times)
-        assert np.allclose(traj.states[:, i_col], expected, rtol=1e-6)
+        assert np.allclose(states[:, i_col], expected, rtol=1e-6)
 
 
 def test_sir_conservation_without_births_deaths():
@@ -147,27 +157,25 @@ def test_sir_conservation_without_births_deaths():
         (sir_delay, [0.0, 0.025, 0.0, 0.25, 1.0]),
     ]:
         model = factory()
-        traj = simulate_model(model, np.array(theta), times)
-        total = traj.states.sum(axis=1)
+        total = simulate_one(model, theta, times).sum(axis=1)
         assert np.allclose(total, total[0], rtol=1e-5)
 
 
 def test_sir_delay_zero_lag_approaches_basic():
     times = models.SIR_TIMES
-    basic = simulate_model(sir_basic(), np.array(models.SIR_TRUE), times)
-    delayed = simulate_model(sir_delay(), np.array(list(models.SIR_TRUE) + [0.0]), times)
-    assert np.abs(basic.states - delayed.states).max() < 1e-3
+    basic = simulate_one(sir_basic(), models.SIR_TRUE, times)
+    delayed = simulate_one(sir_delay(), list(models.SIR_TRUE) + [0.0], times)
+    assert np.abs(basic - delayed).max() < 1e-3
 
 
 def test_sir_latent_approaches_basic_as_transition_speeds_up():
     times = models.SIR_TIMES
-    basic = simulate_model(sir_basic(), np.array(models.SIR_TRUE), times)
+    basic = simulate_one(sir_basic(), models.SIR_TRUE, times)
     diffs = []
     for delta in (10.0, 100.0):
-        model = sir_latent()
-        traj = simulate_model(model, np.array(list(models.SIR_TRUE) + [delta]), times)
-        visible = traj.states[:, [0, 2, 3]]  # S, I, R
-        diffs.append(np.abs(visible - basic.states).max())
+        states = simulate_one(sir_latent(), list(models.SIR_TRUE) + [delta], times)
+        visible = states[:, [0, 2, 3]]  # S, I, R
+        diffs.append(np.abs(visible - basic).max())
     assert diffs[1] < diffs[0]
 
 
@@ -214,9 +222,7 @@ def test_mixture_toy_draws_center_on_theta():
     model = normal_mixture_toy()
     rng = task_rng(5)
     thetas = np.full((4000, 1), 2.5)
-    states, ok = __import__("abcsmc.simulate", fromlist=["simulate_model_batch"]).simulate_model_batch(
-        model, thetas, np.array([0.0]), rng
-    )
+    states, ok = simulate_model_batch(model, thetas, np.array([0.0]), rng)
     assert ok.all()
     draws = states[:, 0, 0]
     assert abs(draws.mean() - 2.5) < 0.05
@@ -241,12 +247,11 @@ def test_zoo_round_trip_by_name():
             if "tau" in a.param_names:
                 theta[a.param_names.index("tau")] = 0.5
             times = np.linspace(a.t0 + 0.5, a.t0 + 3.0, 4)
-            try:
-                ta = simulate_model(a, theta, times)
-                tb = simulate_model(b, theta, times)
-            except Exception:
-                continue  # a blowup is fine as long as both instances agree
-            assert np.array_equal(ta.states, tb.states)
+            # a blowup is fine as long as both instances agree
+            sa, oka = simulate_model_batch(a, theta[None, :], times)
+            sb, okb = simulate_model_batch(b, theta[None, :], times)
+            assert oka[0] == okb[0]
+            assert np.array_equal(sa, sb)
 
 
 def test_unknown_model_name_rejected():

@@ -8,29 +8,30 @@ from scipy.integrate import solve_ivp
 from abcsmc import models
 from abcsmc.core import task_rng
 from abcsmc.distance import sse_many
+from abcsmc.models import DataRecipe, generate_data
 from abcsmc.samplers import observed_columns
 from abcsmc.simulate import (
     DdeSystem,
     OdeSystem,
     ReactionNetwork,
     SimulationFailure,
-    Trajectory,
-    constant_history,
-    dde_solve,
+    dde_solve_batch,
     gillespie,
-    rk4_solve,
     rk4_solve_batch,
-    simulate_model,
     simulate_model_batch,
-    simulate_replicates,
 )
 
 EXP_DECAY = OdeSystem(1, lambda t, s, th: -s)
+NO_THETA = np.zeros((1, 1))  # one row for systems that read no parameter
+
+
+def unit_history(tq, rows):
+    return np.ones((len(tq), 1))
 
 
 def exp_err(step):
-    traj = rk4_solve(EXP_DECAY, np.array([0.0]), np.array([1.0]), [1.0], step=step, t0=0.0)
-    return abs(traj.states[0, 0] - math.exp(-1))
+    states, _ = rk4_solve_batch(EXP_DECAY, NO_THETA, np.array([1.0]), [1.0], step=step, t0=0.0)
+    return abs(states[0, 0, 0] - math.exp(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +52,9 @@ def test_rk4_matches_adaptive_oracle_on_lv():
     model = models.lv_ode(x0=(1.0, 0.5))
     theta = np.array([1.0, 1.0])
     times = np.linspace(1.0, 15.0, 8)
-    traj = rk4_solve(model.system, theta, np.array([1.0, 0.5]), times, step=0.01, t0=0.0)
+    states, ok = rk4_solve_batch(model.system, theta[None, :], np.array([1.0, 0.5]), times,
+                                 step=0.01, t0=0.0)
+    assert ok[0]
     sol = solve_ivp(
         lambda t, y: model.system.rhs(t, y, theta),
         (0.0, 15.0),
@@ -60,19 +63,25 @@ def test_rk4_matches_adaptive_oracle_on_lv():
         rtol=1e-10,
         atol=1e-12,
     )
-    assert np.abs(traj.states - sol.y.T).max() < 1e-4
+    assert np.abs(states[0] - sol.y.T).max() < 1e-4
 
 
 def test_rk4_trajectory_times_equal_requested():
+    # uneven record times are landed on exactly, one state row per time
     times = [0.3, 0.7, 1.234, 2.0]
-    traj = rk4_solve(EXP_DECAY, np.array([0.0]), np.array([1.0]), times, step=0.05, t0=0.0)
-    assert np.array_equal(traj.times, np.array(times))
+    states, _ = rk4_solve_batch(EXP_DECAY, NO_THETA, np.array([1.0]), times, step=0.05, t0=0.0)
+    assert states.shape == (1, len(times), 1)
+    assert np.abs(states[0, :, 0] - np.exp(-np.array(times))).max() < 1e-6
 
 
 def test_rk4_blowup_raises_simulation_failure():
-    growth = OdeSystem(1, lambda t, s, th: s * s)
+    # a batch flags the blown row; generating data from it raises
+    growth = models.ModelSpec(
+        name="growth", kind="ode", system=OdeSystem(1, lambda t, s, th: s * s),
+        param_names=("unused",), species=("x",), observed=(0,), x0=np.array([3.0]),
+    )
     with pytest.raises(SimulationFailure):
-        rk4_solve(growth, np.array([0.0]), np.array([3.0]), [5.0], step=0.01, t0=0.0)
+        generate_data(DataRecipe(growth, (0.0,), np.array([5.0]), 0.0), np.random.default_rng(0))
 
 
 def test_rk4_batch_blowup_masks_row_only():
@@ -85,9 +94,9 @@ def test_rk4_batch_blowup_masks_row_only():
 
 def test_rk4_validates_inputs():
     with pytest.raises(ValueError):
-        rk4_solve(EXP_DECAY, np.array([0.0]), np.array([1.0]), [1.0], step=-0.1)
+        rk4_solve_batch(EXP_DECAY, NO_THETA, np.array([1.0]), [1.0], step=-0.1)
     with pytest.raises(ValueError):
-        rk4_solve(EXP_DECAY, np.array([0.0]), np.array([1.0]), [2.0, 1.0], step=0.1)
+        rk4_solve_batch(EXP_DECAY, NO_THETA, np.array([1.0]), [2.0, 1.0], step=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -97,30 +106,28 @@ def test_rk4_validates_inputs():
 def test_dde_zero_lag_matches_rk4():
     system = DdeSystem(1, (0.0,), lambda t, s, lagged, th: -lagged[0])
     times = [0.25, 0.5, 1.0, 2.0]
-    traj = dde_solve(system, np.array([0.0]), constant_history(np.array([1.0])), times, step=0.01, t0=0.0)
-    reference = rk4_solve(EXP_DECAY, np.array([0.0]), np.array([1.0]), times, step=0.001, t0=0.0)
-    assert np.abs(traj.states - reference.states).max() < 1e-5
+    states, _ = dde_solve_batch(system, NO_THETA, unit_history, times, step=0.01, t0=0.0)
+    reference, _ = rk4_solve_batch(EXP_DECAY, NO_THETA, np.array([1.0]), times, step=0.001, t0=0.0)
+    assert np.abs(states - reference).max() < 1e-5
 
 
 def test_dde_first_interval_analytic():
     # dx/dt = -x(t-1) with unit history: x(t) = 1 - t on [0, 1]
     system = DdeSystem(1, (1.0,), lambda t, s, lagged, th: -lagged[0])
-    traj = dde_solve(
-        system, np.array([0.0]), constant_history(np.array([1.0])), [0.25, 0.5, 1.0], step=0.01, t0=0.0
-    )
+    states, _ = dde_solve_batch(system, NO_THETA, unit_history, [0.25, 0.5, 1.0], step=0.01, t0=0.0)
     expected = 1.0 - np.array([0.25, 0.5, 1.0])
-    assert np.abs(traj.states[:, 0] - expected).max() < 1e-9
+    assert np.abs(states[0, :, 0] - expected).max() < 1e-9
 
 
 def test_dde_second_interval_analytic():
     # on [1, 2]: x(t) = 1 - t + (t-1)^2 / 2
     system = DdeSystem(1, (1.0,), lambda t, s, lagged, th: -lagged[0])
-    traj = dde_solve(system, np.array([0.0]), constant_history(np.array([1.0])), [1.5, 2.0], step=0.01, t0=0.0)
+    states, _ = dde_solve_batch(system, NO_THETA, unit_history, [1.5, 2.0], step=0.01, t0=0.0)
     t = np.array([1.5, 2.0])
     expected = 1.0 - t + 0.5 * (t - 1.0) ** 2
     # the derivative kink where the delayed term activates sits on a grid
     # node, so the Hermite lag lookup stays accurate across it
-    assert np.abs(traj.states[:, 0] - expected).max() < 1e-5
+    assert np.abs(states[0, :, 0] - expected).max() < 1e-5
 
 
 def _method_of_steps_oracle(theta, times, t0, x0, steps_per_unit=200):
@@ -167,24 +174,24 @@ def test_sir_delay_matches_method_of_steps_oracle():
     model = models.sir_delay()
     theta = np.array([0.05, 0.025, 0.02, 0.25, 1.7])
     times = np.arange(1.0, 22.0)
-    traj = simulate_model(model, theta, times)
-    assert np.isfinite(traj.states).all()
+    states, ok = simulate_model_batch(model, theta[None, :], times)
+    assert ok[0] and np.isfinite(states).all()
     oracle = _method_of_steps_oracle(theta, times, model.t0, model.x0)
-    assert np.abs(traj.states - oracle).max() < 5e-3
+    assert np.abs(states[0] - oracle).max() < 5e-3
 
 
 def test_dde_negative_lag_is_invalid():
     model = models.sir_delay()
     theta = np.array([0.05, 0.025, 0.02, 0.25, -0.3])
-    with pytest.raises(SimulationFailure):
-        simulate_model(model, theta, np.arange(1.0, 13.0))
+    _, ok = simulate_model_batch(model, theta[None, :], np.arange(1.0, 13.0))
+    assert not ok[0]
 
 
 def test_dde_rejects_bad_step():
     system = DdeSystem(1, (0.5,), lambda t, s, lagged, th: -lagged[0])
     for step in (0.0, -0.1):
         with pytest.raises(ValueError):
-            dde_solve(system, np.array([0.0]), constant_history(np.array([1.0])), [1.0], step=step)
+            dde_solve_batch(system, NO_THETA, unit_history, [1.0], step=step)
 
 
 def _mixed_batch(name):
@@ -276,7 +283,7 @@ def test_gillespie_pure_death_mean():
     net = _pure_death()
     n = 3000
     finals = np.array(
-        [gillespie(net, np.array([1.0]), [100], [1.0], rng).states[0, 0] for _ in range(n)]
+        [gillespie(net, np.array([1.0]), [100], [1.0], rng)[0, 0] for _ in range(n)]
     )
     expected = 100 * math.exp(-1)
     se = finals.std(ddof=1) / math.sqrt(n)
@@ -288,7 +295,7 @@ def test_gillespie_immigration_poisson_dispersion():
     net = _immigration()
     n = 4000
     finals = np.array(
-        [gillespie(net, np.array([5.0]), [0], [2.0], rng).states[0, 0] for _ in range(n)]
+        [gillespie(net, np.array([5.0]), [0], [2.0], rng)[0, 0] for _ in range(n)]
     )
     ratio = finals.var(ddof=1) / finals.mean()
     assert 0.93 <= ratio <= 1.07
@@ -297,18 +304,18 @@ def test_gillespie_immigration_poisson_dispersion():
 def test_gillespie_absorption_holds_state():
     rng = np.random.default_rng(3)
     net = _pure_death()
-    traj = gillespie(net, np.array([50.0]), [2], [0.5, 100.0, 200.0], rng)
-    assert traj.states[-1, 0] == traj.states[-2, 0] or traj.states[-1, 0] == 0.0
-    assert traj.states[-1, 0] >= 0
+    states = gillespie(net, np.array([50.0]), [2], [0.5, 100.0, 200.0], rng)
+    assert states[-1, 0] == states[-2, 0] or states[-1, 0] == 0.0
+    assert states[-1, 0] >= 0
 
 
 def test_gillespie_states_nonnegative_integers():
     rng = np.random.default_rng(11)
     model = models.lv_ssa()
-    traj = gillespie(model.system, np.array([10.0, 0.01, 10.0]), [1000, 1000],
-                     models.LV_SSA_TIMES, rng)
-    assert np.all(traj.states >= 0)
-    assert np.all(traj.states == np.round(traj.states))
+    states = gillespie(model.system, np.array([10.0, 0.01, 10.0]), [1000, 1000],
+                       models.LV_SSA_TIMES, rng)
+    assert np.all(states >= 0)
+    assert np.all(states == np.round(states))
 
 
 def test_gillespie_bit_reproducible():
@@ -316,7 +323,7 @@ def test_gillespie_bit_reproducible():
     theta = np.array([10.0, 0.01, 10.0])
     a = gillespie(model.system, theta, [1000, 1000], models.LV_SSA_TIMES, np.random.default_rng(5))
     b = gillespie(model.system, theta, [1000, 1000], models.LV_SSA_TIMES, np.random.default_rng(5))
-    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a, b)
 
 
 def test_gillespie_event_cap():
@@ -339,8 +346,8 @@ def test_stochastic_lv_persists_past_final_record_time():
     survived = 0
     runs = 7
     for _ in range(runs):
-        traj = gillespie(model.system, theta, [1000, 1000], models.LV_SSA_TIMES, rng)
-        if traj.states[-1].min() > 0:
+        states = gillespie(model.system, theta, [1000, 1000], models.LV_SSA_TIMES, rng)
+        if states[-1].min() > 0:
             survived += 1
     assert survived > runs / 2
 
@@ -349,21 +356,14 @@ def test_stochastic_lv_persists_past_final_record_time():
 # Uniform contract and replicates
 # ---------------------------------------------------------------------------
 
-def test_simulate_replicates_single_equals_single_run():
+def test_generate_data_deterministic_replicates_equal_single_run():
     model = models.lv_ode()
     theta = np.array([1.0, 1.0])
-    times = models.LV_TIMES
-    a = simulate_replicates(model, theta, times, 1, np.random.default_rng(0))
-    b = simulate_model(model, theta, times)
-    assert np.array_equal(a.states, b.states)
-
-
-def test_simulate_replicates_deterministic_model_any_count():
-    model = models.lv_ode()
-    theta = np.array([1.0, 1.0])
-    a = simulate_replicates(model, theta, models.LV_TIMES, 5, np.random.default_rng(0))
-    b = simulate_model(model, theta, models.LV_TIMES)
-    assert np.allclose(a.states, b.states)
+    single, _ = simulate_model_batch(model, theta[None, :], models.LV_TIMES)
+    for replicates in (1, 5):
+        recipe = DataRecipe(model, theta, models.LV_TIMES, 0.0, replicates)
+        ds = generate_data(recipe, np.random.default_rng(0))
+        assert np.allclose(ds.observed_values(), single[0])
 
 
 def test_replicate_average_reduces_variance():
@@ -376,19 +376,15 @@ def test_replicate_average_reduces_variance():
     theta = np.array([5.0])
     times = np.array([2.0])
     rng = np.random.default_rng(9)
-    singles = np.array([simulate_model(model, theta, times, rng).states[0, 0] for _ in range(1000)])
-    triples = np.array(
-        [simulate_replicates(model, theta, times, 3, rng).states[0, 0] for _ in range(1000)]
-    )
+
+    def finals(replicates):
+        recipe = DataRecipe(model, theta, times, 0.0, replicates)
+        return np.array([generate_data(recipe, rng).values[0, 0] for _ in range(1000)])
+
+    singles = finals(1)
+    triples = finals(3)
     ratio = triples.var(ddof=1) / singles.var(ddof=1)
     assert 0.2 < ratio < 0.5
-
-
-def test_trajectory_validation():
-    with pytest.raises(ValueError):
-        Trajectory(np.array([1.0, 1.0]), np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        Trajectory(np.array([1.0, 2.0]), np.zeros((3, 1)))
 
 
 def test_simulate_model_batch_requires_rng_for_stochastic():
