@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -39,14 +39,7 @@ from .core import (
 )
 from .distance import DISTANCES, Dataset
 from .models import DataRecipe, Setup, default_setup, generate_data, get_model, SETUPS
-from .samplers import (
-    BudgetExceeded,
-    ModelSelectionResult,
-    SmcResult,
-    abc_rejection,
-    abc_smc,
-    abc_smc_model_selection,
-)
+from .samplers import BudgetExceeded, SmcResult, abc_smc, abc_smc_model_selection
 from .simulate import SimulationFailure, simulate_model_batch
 
 EXIT_OK = 0
@@ -181,21 +174,14 @@ def _apply_param_overrides(cfg: RunConfig, setup: Setup) -> Setup:
         else:
             discrete = isinstance(setup.priors[model_idx].marginals[j], DiscreteUniform)
             kernels[model_idx][j] = _parse_kernel_value(cfg, key, discrete)
-    return Setup(
-        models=setup.models,
+    return replace(
+        setup,
         priors=tuple(PriorSpec(tuple(p)) for p in priors),
         kernels=tuple(KernelSpec(tuple(k)) for k in kernels),
-        epsilons=setup.epsilons,
-        n_particles=setup.n_particles,
-        distance=setup.distance,
-        sim_trials=setup.sim_trials,
-        replicates=setup.replicates,
-        recipe=setup.recipe,
-        dataset=setup.dataset,
     )
 
 
-def _resolve_setup(cfg: RunConfig, need_models: bool = True) -> Setup:
+def _resolve_setup(cfg: RunConfig) -> Setup:
     name = cfg.get("setup")
     if name is None:
         single = cfg.get("model")
@@ -349,7 +335,7 @@ def write_run_ledger(populations: Sequence[Population], path: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_model_counts(result: ModelSelectionResult, path: str) -> None:
+def write_model_counts(result: SmcResult, path: str) -> None:
     m = result.n_models
     lines = ["population," + ",".join(f"model_{i}" for i in range(1, m + 1))]
     for pop, counts in zip(result.populations, result.model_counts()):
@@ -388,9 +374,10 @@ def write_stamp(out: Path, cfg: RunConfig, seed: int, partial: bool = False) -> 
 # ---------------------------------------------------------------------------
 
 def _common_run_prep(cfg: RunConfig, args):
+    """Seed and output directory of a task.  The directory is created by the
+    task once it has something to write, so a failed task leaves none."""
     seed = args.seed if args.seed is not None else cfg.intval("seed", 0)
     out = Path(args.out or cfg.get("out", "results"))
-    out.mkdir(parents=True, exist_ok=True)
     return seed, out
 
 
@@ -406,48 +393,30 @@ def _load_run_dataset(cfg: RunConfig, setup: Setup) -> Dataset:
     raise ConfigError(f"{cfg.path}: a 'dataset =' line is required (no default for this setup)")
 
 
-def _run_infer(cfg: RunConfig, args) -> int:
+def _run_smc(cfg: RunConfig, args, select: bool) -> int:
+    """`infer` (one model, abc_smc) or `select` (several models, model
+    selection, which also writes model_counts.csv)."""
     setup = _resolve_setup(cfg)
-    if len(setup.models) != 1:
+    if select and len(setup.models) < 2:
+        raise ConfigError("task 'select' needs a setup with at least two models")
+    if not select and len(setup.models) != 1:
         raise ConfigError("task 'infer' takes a single model; use 'select' for several")
     seed, out = _common_run_prep(cfg, args)
     dataset = _load_run_dataset(cfg, setup)
     icfg = _inference_config(cfg, setup, dataset, seed)
+    sampler = abc_smc_model_selection if select else abc_smc
     partial = False
     try:
-        result = abc_smc(icfg)
-        populations = result.populations
+        result = sampler(icfg)
     except BudgetExceeded as e:
         print(f"aborted: {e}", file=sys.stderr)
-        populations = e.partial.populations if e.partial is not None else []
+        result = e.partial
         partial = True
-    for pop in populations:
-        write_population_csv(pop, setup.models, out / f"population_{pop.index:02d}.csv")
-    write_run_ledger(populations, out / "run_ledger.csv")
-    write_stamp(out, cfg, seed, partial)
-    return EXIT_BUDGET if partial else EXIT_OK
-
-
-def _run_select(cfg: RunConfig, args) -> int:
-    setup = _resolve_setup(cfg)
-    if len(setup.models) < 2:
-        raise ConfigError("task 'select' needs a setup with at least two models")
-    seed, out = _common_run_prep(cfg, args)
-    dataset = _load_run_dataset(cfg, setup)
-    icfg = _inference_config(cfg, setup, dataset, seed)
-    partial = False
-    try:
-        result = abc_smc_model_selection(icfg)
-    except BudgetExceeded as e:
-        print(f"aborted: {e}", file=sys.stderr)
-        result = ModelSelectionResult(
-            e.partial.populations if e.partial is not None else [], len(setup.models)
-        )
-        partial = True
+    out.mkdir(parents=True, exist_ok=True)
     for pop in result.populations:
         write_population_csv(pop, setup.models, out / f"population_{pop.index:02d}.csv")
     write_run_ledger(result.populations, out / "run_ledger.csv")
-    if result.populations:
+    if select and result.populations:
         write_model_counts(result, out / "model_counts.csv")
     write_stamp(out, cfg, seed, partial)
     return EXIT_BUDGET if partial else EXIT_OK
@@ -485,6 +454,7 @@ def _run_simulate(cfg: RunConfig, args) -> int:
     lines = ["t," + ",".join(model.species)]
     for t, row in zip(times, states[0]):
         lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
+    out.mkdir(parents=True, exist_ok=True)
     (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
     write_stamp(out, cfg, seed)
     return EXIT_OK
@@ -510,6 +480,7 @@ def _run_generate(cfg: RunConfig, args) -> int:
         dataset = generate_data(recipe, task_rng(seed))
     except SimulationFailure as e:
         raise cfg.error("theta", str(e)) from None
+    out.mkdir(parents=True, exist_ok=True)
     write_dataset(dataset, out / "dataset.csv")
     write_stamp(out, cfg, seed)
     return EXIT_OK
@@ -527,6 +498,7 @@ def _run_analyze(cfg: RunConfig, args) -> int:
         pops.append(pop)
     final = pops[-1]
     labels = final.models_present()
+    out.mkdir(parents=True, exist_ok=True)
 
     summary_lines = ["model,parameter,q025,median,q975"]
     for label in labels:
@@ -554,8 +526,8 @@ def _run_analyze(cfg: RunConfig, args) -> int:
 
 
 TASKS = {
-    "infer": _run_infer,
-    "select": _run_select,
+    "infer": lambda cfg, args: _run_smc(cfg, args, select=False),
+    "select": lambda cfg, args: _run_smc(cfg, args, select=True),
     "simulate": _run_simulate,
     "generate-data": _run_generate,
     "analyze": _run_analyze,

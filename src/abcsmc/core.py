@@ -312,7 +312,6 @@ class InferenceConfig:
     replicates: int = 1
     seed: int = 0
     max_proposals_per_population: Optional[int] = None  # default 1e6 * N
-    acceptance_floor: float = 1e-7
 
     def __post_init__(self):
         self.validate()

@@ -34,10 +34,13 @@ from .simulate import (
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A simulatable model: system + parameter/species metadata."""
+    """A simulatable model: system + parameter/species metadata.
+
+    Each fact is stored once: the engine kind is derived from the system
+    (`kind`), and the state size is `len(species)`, which `x0` must match.
+    """
 
     name: str
-    kind: str  # "ode" | "dde" | "ssa" | "direct"
     system: object
     param_names: tuple[str, ...]
     species: tuple[str, ...]
@@ -51,7 +54,18 @@ class ModelSpec:
         if len(self.observed) == 0:
             raise ConfigError("observable mask must be nonempty")
         if self.x0 is not None:
-            object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+            x0 = np.asarray(self.x0, dtype=float)
+            if x0.shape != (len(self.species),):
+                raise ConfigError(
+                    f"model '{self.name}': x0 has shape {x0.shape}, "
+                    f"expected one value per species ({len(self.species)})"
+                )
+            object.__setattr__(self, "x0", x0)
+
+    @property
+    def kind(self) -> str:
+        """"ode" | "dde" | "ssa" | "direct", read from the system."""
+        return self.system.kind
 
     @property
     def n_params(self) -> int:
@@ -131,8 +145,7 @@ def lv_ode(x0: Sequence[float] = LV_X0) -> ModelSpec:
     """Deterministic predator-prey model, parameters (a, b)."""
     return ModelSpec(
         name="lv_ode",
-        kind="ode",
-        system=OdeSystem(2, _lv_rhs),
+        system=OdeSystem(_lv_rhs),
         param_names=("a", "b"),
         species=("prey", "predator"),
         observed=(0, 1),
@@ -143,6 +156,11 @@ def lv_ode(x0: Sequence[float] = LV_X0) -> ModelSpec:
 
 LV_SSA_X0 = (1000, 1000)
 LV_SSA_TIMES = np.round(np.linspace(0.1, 1.9, 19), 10)
+LV_SSA_STOICHIOMETRY = ((1, 0), (-1, 1), (0, -1))  # prey birth, predation, predator death
+
+
+def _lv_hazards(s, th):
+    return np.array([th[0] * s[0], th[1] * s[0] * s[1], th[2] * s[1]])
 
 
 def lv_ssa() -> ModelSpec:
@@ -150,15 +168,9 @@ def lv_ssa() -> ModelSpec:
 
     Prey birth consumes a fixed resource a = 1, so its hazard is c1 * x.
     """
-    reactions = (
-        (np.array([1, 0]), lambda s, th: th[0] * s[0]),
-        (np.array([-1, 1]), lambda s, th: th[1] * s[0] * s[1]),
-        (np.array([0, -1]), lambda s, th: th[2] * s[1]),
-    )
     return ModelSpec(
         name="lv_ssa",
-        kind="ssa",
-        system=ReactionNetwork(2, reactions),
+        system=ReactionNetwork(LV_SSA_STOICHIOMETRY, _lv_hazards),
         param_names=("c1", "c2", "c3"),
         species=("prey", "predator"),
         observed=(0, 1),
@@ -202,8 +214,7 @@ def repressilator_ode() -> ModelSpec:
     """Deterministic three-gene repressor loop; only mRNA is observable."""
     return ModelSpec(
         name="repressilator_ode",
-        kind="ode",
-        system=OdeSystem(6, _repressilator_rhs),
+        system=OdeSystem(_repressilator_rhs),
         param_names=("alpha0", "n", "beta", "alpha"),
         species=("m1", "p1", "m2", "p2", "m3", "p3"),
         observed=(0, 2, 4),
@@ -212,41 +223,28 @@ def repressilator_ode() -> ModelSpec:
     )
 
 
+# per gene i = 1..3: transcription, mRNA decay, translation, protein decay
+REPRESSILATOR_SSA_STOICHIOMETRY = np.kron(np.eye(3), [[1, 0], [-1, 0], [0, 1], [0, -1]])
+
+
+def _repressilator_hazards(s, th):
+    m, p = s[0::2], s[1::2]
+    repressor = p[[2, 0, 1]]  # gene i is repressed by protein j: (1<-3, 2<-1, 3<-2)
+    transcription = th[3] / (1.0 + repressor ** th[1]) + th[0]
+    per_gene = np.stack([transcription, m, th[2] * m, th[2] * p], axis=1)
+    return per_gene.reshape((12,) + per_gene.shape[2:])
+
+
 def repressilator_ssa() -> ModelSpec:
-    """Stochastic repressilator: 12 reactions over (m_i, p_i), i = 1..3."""
-    reactions = []
-    for i in range(3):
-        j = (i + 2) % 3  # gene i is repressed by protein j: (1<-3, 2<-1, 3<-2)
-        mi, pi, pj = 2 * i, 2 * i + 1, 2 * j + 1
+    """Stochastic repressilator: 12 reactions over (m_i, p_i), i = 1..3.
 
-        def transcription(s, th, pj=pj):
-            return th[3] / (1.0 + s[pj] ** th[1]) + th[0]
-
-        def mrna_decay(s, th, mi=mi):
-            return s[mi]
-
-        def translation(s, th, mi=mi):
-            return th[2] * s[mi]
-
-        def protein_decay(s, th, pi=pi):
-            return th[2] * s[pi]
-
-        change = np.zeros(6, dtype=int)
-        change[mi] = 1
-        reactions.append((change.copy(), transcription))
-        change = np.zeros(6, dtype=int)
-        change[mi] = -1
-        reactions.append((change.copy(), mrna_decay))
-        change = np.zeros(6, dtype=int)
-        change[pi] = 1
-        reactions.append((change.copy(), translation))
-        change = np.zeros(6, dtype=int)
-        change[pi] = -1
-        reactions.append((change.copy(), protein_decay))
+    Gene by gene: transcription at alpha / (1 + p_j^n) + alpha0, with p_j
+    the protein that represses gene i; mRNA decay at m_i; translation at
+    beta * m_i; protein decay at beta * p_i.
+    """
     return ModelSpec(
         name="repressilator_ssa",
-        kind="ssa",
-        system=ReactionNetwork(6, tuple(reactions)),
+        system=ReactionNetwork(REPRESSILATOR_SSA_STOICHIOMETRY, _repressilator_hazards),
         param_names=("alpha0", "n", "beta", "alpha"),
         species=("m1", "p1", "m2", "p2", "m3", "p3"),
         observed=(0, 1, 2, 3, 4, 5),
@@ -282,8 +280,7 @@ def sir_basic(x0: Sequence[float] = SIR_X0) -> ModelSpec:
     """Susceptible-infected-recovered with births/deaths: (alpha, gamma, d, v)."""
     return ModelSpec(
         name="sir_basic",
-        kind="ode",
-        system=OdeSystem(3, _sir_basic_rhs),
+        system=OdeSystem(_sir_basic_rhs),
         param_names=("alpha", "gamma", "d", "v"),
         species=("S", "I", "R"),
         observed=(0, 1, 2),
@@ -308,8 +305,7 @@ def sir_delay(x0: Sequence[float] = SIR_X0) -> ModelSpec:
     """
     return ModelSpec(
         name="sir_delay",
-        kind="dde",
-        system=DdeSystem(3, (4,), _sir_delay_rhs),
+        system=DdeSystem((4,), _sir_delay_rhs),
         param_names=("alpha", "gamma", "d", "v", "tau"),
         species=("S", "I", "R"),
         observed=(0, 1, 2),
@@ -342,8 +338,7 @@ def sir_latent(x0: Optional[Sequence[float]] = None) -> ModelSpec:
         x0 = (SIR_X0[0], 0.0, SIR_X0[1], SIR_X0[2])
     return ModelSpec(
         name="sir_latent",
-        kind="ode",
-        system=OdeSystem(4, _sir_latent_rhs),
+        system=OdeSystem(_sir_latent_rhs),
         param_names=("alpha", "gamma", "d", "v", "delta"),
         species=("S", "L", "I", "R"),
         observed=(0, 2, 3),
@@ -366,8 +361,7 @@ def sir_sirs(x0: Sequence[float] = SIR_X0) -> ModelSpec:
     """SIR with waning immunity (recovered return to susceptible at rate e)."""
     return ModelSpec(
         name="sir_sirs",
-        kind="ode",
-        system=OdeSystem(3, _sir_sirs_rhs),
+        system=OdeSystem(_sir_sirs_rhs),
         param_names=("alpha", "gamma", "d", "v", "e"),
         species=("S", "I", "R"),
         observed=(0, 1, 2),
@@ -387,8 +381,7 @@ def sir_study_models(x0: Sequence[float] = SIR_STUDY_X0) -> tuple[ModelSpec, ...
     x0_latent = np.array([x0[0], 0.0, x0[1], x0[2]])
     basic = ModelSpec(
         name="sir_basic_closed",
-        kind="ode",
-        system=OdeSystem(3, _outbreak_basic_rhs),
+        system=OdeSystem(_outbreak_basic_rhs),
         param_names=("gamma", "v"),
         species=("S", "I", "R"),
         observed=(0, 1, 2),
@@ -397,8 +390,7 @@ def sir_study_models(x0: Sequence[float] = SIR_STUDY_X0) -> tuple[ModelSpec, ...
     )
     delay = ModelSpec(
         name="sir_delay_closed",
-        kind="dde",
-        system=DdeSystem(3, (2,), _outbreak_delay_rhs),
+        system=DdeSystem((2,), _outbreak_delay_rhs),
         param_names=("gamma", "v", "tau"),
         species=("S", "I", "R"),
         observed=(0, 1, 2),
@@ -407,8 +399,7 @@ def sir_study_models(x0: Sequence[float] = SIR_STUDY_X0) -> tuple[ModelSpec, ...
     )
     latent = ModelSpec(
         name="sir_latent_closed",
-        kind="ode",
-        system=OdeSystem(4, _outbreak_latent_rhs),
+        system=OdeSystem(_outbreak_latent_rhs),
         param_names=("gamma", "v", "delta"),
         species=("S", "L", "I", "R"),
         observed=(0, 2, 3),
@@ -417,8 +408,7 @@ def sir_study_models(x0: Sequence[float] = SIR_STUDY_X0) -> tuple[ModelSpec, ...
     )
     sirs = ModelSpec(
         name="sir_sirs_closed",
-        kind="ode",
-        system=OdeSystem(3, _outbreak_sirs_rhs),
+        system=OdeSystem(_outbreak_sirs_rhs),
         param_names=("gamma", "v", "e"),
         species=("S", "I", "R"),
         observed=(0, 1, 2),
@@ -483,8 +473,7 @@ def outbreak_models() -> tuple[ModelSpec, ...]:
     common = dict(t0=1.0, x0=None)
     basic = ModelSpec(
         name="outbreak_basic",
-        kind="ode",
-        system=OdeSystem(3, _outbreak_basic_rhs),
+        system=OdeSystem(_outbreak_basic_rhs),
         param_names=("gamma", "v", "s0"),
         species=("S", "I", "R"),
         observed=(1, 2),
@@ -494,8 +483,7 @@ def outbreak_models() -> tuple[ModelSpec, ...]:
     )
     delay = ModelSpec(
         name="outbreak_delay",
-        kind="dde",
-        system=DdeSystem(3, (2,), _outbreak_delay_rhs),
+        system=DdeSystem((2,), _outbreak_delay_rhs),
         param_names=("gamma", "v", "tau", "s0"),
         species=("S", "I", "R"),
         observed=(1, 2),
@@ -505,8 +493,7 @@ def outbreak_models() -> tuple[ModelSpec, ...]:
     )
     latent = ModelSpec(
         name="outbreak_latent",
-        kind="ode",
-        system=OdeSystem(4, _outbreak_latent_rhs),
+        system=OdeSystem(_outbreak_latent_rhs),
         param_names=("gamma", "v", "delta", "s0"),
         species=("S", "L", "I", "R"),
         observed=(2, 3),
@@ -516,8 +503,7 @@ def outbreak_models() -> tuple[ModelSpec, ...]:
     )
     sirs = ModelSpec(
         name="outbreak_sirs",
-        kind="ode",
-        system=OdeSystem(3, _outbreak_sirs_rhs),
+        system=OdeSystem(_outbreak_sirs_rhs),
         param_names=("gamma", "v", "e", "s0"),
         species=("S", "I", "R"),
         observed=(1, 2),
@@ -560,8 +546,7 @@ def normal_mixture_toy() -> ModelSpec:
     N(theta, 1/100); the observed datum is 0."""
     return ModelSpec(
         name="normal_mixture",
-        kind="direct",
-        system=DirectSampler(1, _mixture_sample),
+        system=DirectSampler(_mixture_sample),
         param_names=("theta",),
         species=("x",),
         observed=(0,),

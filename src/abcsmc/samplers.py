@@ -31,7 +31,7 @@ _BATCH_BASE = {"ode": 8192, "direct": 8192, "dde": 2048, "ssa": 64}
 
 
 class BudgetExceeded(RuntimeError):
-    """Proposal budget (or acceptance floor) hit; partial results attached."""
+    """Proposal budget hit; partial results attached."""
 
     def __init__(self, message: str, partial=None):
         super().__init__(message)
@@ -94,17 +94,9 @@ class AcceptanceTest:
 
 @dataclass
 class SmcResult:
-    """One population per tolerance level, with cumulative simulation ledger."""
+    """One population per tolerance level, with cumulative simulation ledger,
+    for a run over `n_models` candidate models (1 without model selection)."""
 
-    populations: list[Population]
-
-    @property
-    def final_population(self) -> Population:
-        return self.populations[-1]
-
-
-@dataclass
-class ModelSelectionResult:
     populations: list[Population]
     n_models: int
 
@@ -267,7 +259,7 @@ def _by_model(population: Population) -> dict:
     return out
 
 
-def _smc(cfg: InferenceConfig, equal_weights: bool = False, progress=None) -> list[Population]:
+def _smc(cfg: InferenceConfig, equal_weights: bool = False) -> SmcResult:
     cfg.validate()
     populations: list[Population] = []
     prev_by_model = None
@@ -278,7 +270,7 @@ def _smc(cfg: InferenceConfig, equal_weights: bool = False, progress=None) -> li
         test = AcceptanceTest(cfg.dataset, cfg.distance, eps, cfg.sim_trials, cfg.replicates)
         labels, blocks, hits, best, proposals, sims = _collect_population(
             cfg, test, t, surviving, prev_by_model, cfg.proposal_budget(),
-            SmcResult(list(populations)), prev_rate,
+            SmcResult(list(populations), cfg.n_models), prev_rate,
         )
         prev_rate = len(labels) / max(proposals, 1)
         sim_total += sims
@@ -290,14 +282,12 @@ def _smc(cfg: InferenceConfig, equal_weights: bool = False, progress=None) -> li
         pop = Population(labels, blocks, weights, best, eps, t, sim_total, proposals)
         pop.normalize()
         populations.append(pop)
-        if progress is not None:
-            progress(pop)
         prev_by_model = _by_model(pop)
         surviving = sorted(prev_by_model)
-    return populations
+    return SmcResult(populations, cfg.n_models)
 
 
-def abc_smc(config: InferenceConfig, progress=None) -> SmcResult:
+def abc_smc(config: InferenceConfig) -> SmcResult:
     """Sequential population refinement through the tolerance schedule.
 
     Population 0 is proposed fresh from the prior; later populations
@@ -306,32 +296,31 @@ def abc_smc(config: InferenceConfig, progress=None) -> SmcResult:
     """
     if config.n_models != 1:
         raise ConfigError("abc_smc expects a single model; use abc_smc_model_selection")
-    return SmcResult(_smc(config, progress=progress))
+    return _smc(config)
 
 
-def abc_prc_baseline(config: InferenceConfig, progress=None) -> SmcResult:
+def abc_prc_baseline(config: InferenceConfig) -> SmcResult:
     """Same proposal flow as abc_smc but every weight is left equal
     (the degenerate uniform-prior backward-kernel scheme)."""
     if config.n_models != 1:
         raise ConfigError("abc_prc_baseline expects a single model")
-    return SmcResult(_smc(config, equal_weights=True, progress=progress))
+    return _smc(config, equal_weights=True)
 
 
-def abc_smc_model_selection(config: InferenceConfig, progress=None) -> ModelSelectionResult:
+def abc_smc_model_selection(config: InferenceConfig) -> SmcResult:
     """Joint posterior over (model, parameters): each proposal first draws a
     model label uniformly among survivors, then resamples/perturbs within
     that model's sub-population.  Weights are computed and normalized per
     model; models with no surviving particles are excluded from sampling."""
     if config.n_models < 2:
         raise ConfigError("model selection needs at least two models")
-    return ModelSelectionResult(_smc(config, progress=progress), config.n_models)
+    return _smc(config)
 
 
 def abc_rejection(config: InferenceConfig, epsilon: Optional[float] = None) -> Population:
     """Plain rejection sampling at a single tolerance; equal weights.
 
-    Aborts (BudgetExceeded) if finishing would require an acceptance rate
-    below config.acceptance_floor.
+    Aborts (BudgetExceeded) after config.proposal_budget() proposals.
     """
     config.validate()
     if config.n_models != 1:
@@ -341,9 +330,8 @@ def abc_rejection(config: InferenceConfig, epsilon: Optional[float] = None) -> P
             raise ConfigError("abc_rejection needs a single tolerance (or an explicit epsilon)")
         epsilon = config.schedule[0]
     test = AcceptanceTest(config.dataset, config.distance, epsilon, config.sim_trials, config.replicates)
-    budget = int(math.ceil(config.n_particles / config.acceptance_floor))
     labels, blocks, _, best, proposals, sims = _collect_population(
-        config, test, 0, [1], None, budget, None
+        config, test, 0, [1], None, config.proposal_budget(), None
     )
     pop = Population(labels, blocks, np.ones(len(labels)), best, epsilon, 0, sims, proposals)
     pop.normalize()
@@ -388,7 +376,8 @@ def abc_mcmc(
 
     Unless `theta0` is supplied, the initial state is rejection-sampled from
     the prior into the acceptance region (a chain started outside it can
-    stay stuck indefinitely); those simulations are counted.
+    stay stuck indefinitely), with at most config.proposal_budget()
+    proposals; those simulations are counted.
     """
     config.validate()
     if config.n_models != 1:
@@ -410,15 +399,14 @@ def abc_mcmc(
     scale = 1.0
     accepted = proposals = sims = passed = accepted_after_pass = 0
     if theta0 is None:
-        budget = int(math.ceil(1.0 / config.acceptance_floor))
-        while True:
+        for _ in range(config.proposal_budget()):
             theta = prior.sample(rng, 1)
             sims += config.replicates
             _, best = test.evaluate_batch(model, theta, rng)
             if best[0] <= epsilon:
                 break
-            if sims > budget:
-                raise BudgetExceeded("could not find an initial state within tolerance")
+        else:
+            raise BudgetExceeded("could not find an initial state within tolerance")
     else:
         theta = np.asarray(theta0, dtype=float).reshape(1, -1)
     dens_cur = prior.density_many(theta)[0]

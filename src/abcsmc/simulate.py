@@ -7,8 +7,11 @@ every record time, and a delay system also stores each node's state and
 derivative so that lagged states are cubic Hermite interpolants of completed
 nodes (Bellen & Zennaro, Numerical Methods for Delay Differential
 Equations, 2003).  The deterministic engines advance a (B, k) batch of
-parameter vectors at once on shared numpy arrays; a single run is a batch
-of one row.
+parameter vectors from a (B, m) batch of initial states at once on shared
+numpy arrays; a single run is a batch of one row.
+
+Each system class names its engine in a class-level `kind`, and no system
+stores its state size: the engines read it from the initial state.
 
 Right-hand sides are written broadcast-friendly: state has shape (..., m),
 theta (..., k), and the returned derivative (..., m).
@@ -29,8 +32,8 @@ class SimulationFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class OdeSystem:
-    dim: int
     rhs: Callable  # f(t, state, theta) -> dstate/dt, broadcasting over leading axes
+    kind = "ode"
 
 
 @dataclass(frozen=True)
@@ -39,37 +42,43 @@ class DdeSystem:
     state arrays, one per lag, evaluated at t - lag.
 
     Lag entries are either fixed floats or integer indices into theta.
+    Before t0 the state is held at its initial value (constant history).
     A row with a negative resolved lag is an invalid (anti-causal) model
     instance and fails.  Lags below the solver's lag floor count as zero:
     that term uses the current state, i.e. plain ODE semantics.
     """
 
-    dim: int
     lags: tuple[Union[float, int], ...]
     rhs: Callable
+    kind = "dde"
 
 
 @dataclass(frozen=True)
 class ReactionNetwork:
-    """List of (stoichiometry change vector, hazard(state, theta)) pairs."""
+    """Reaction network in stoichiometry-plus-propensity form (Gillespie,
+    J. Phys. Chem. 81:2340, 1977).
 
-    dim: int
-    reactions: tuple[tuple[np.ndarray, Callable], ...]
+    `stoichiometry[r]` is the state change of reaction r, shape (R, m);
+    `hazards(state, theta)` returns the R propensities.  Hazard functions
+    index species and parameters on the first axis (`s[i]`, `th[j]`), so
+    the same function takes one (m,) state or an (m, B) block of states.
+    """
 
-    def change_matrix(self) -> np.ndarray:
-        return np.array([np.asarray(c, dtype=float) for c, _ in self.reactions])
+    stoichiometry: np.ndarray
+    hazards: Callable
+    kind = "ssa"
 
-    def hazards(self, state: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return np.array([h(state, theta) for _, h in self.reactions], dtype=float)
+    def __post_init__(self):
+        object.__setattr__(self, "stoichiometry", np.asarray(self.stoichiometry, dtype=float))
 
 
 @dataclass(frozen=True)
 class DirectSampler:
     """Model that samples its dataset directly: sample(thetas, times, rng)
-    returns states of shape (n_thetas, len(times), dim)."""
+    returns states of shape (n_thetas, len(times), n_species)."""
 
-    dim: int
     sample: Callable
+    kind = "direct"
 
 
 @dataclass(frozen=True)
@@ -139,6 +148,14 @@ def _grid(times, step, t0):
     return times, start
 
 
+def _rows(thetas, x0s):
+    """A (B, k) theta batch and its (B, m) initial states; an (m,) x0s is
+    shared by every row."""
+    thetas = np.asarray(thetas, dtype=float)
+    x0s = np.asarray(x0s, dtype=float)
+    return thetas, np.broadcast_to(x0s, (thetas.shape[0], x0s.shape[-1]))
+
+
 def rk4_solve_batch(
     system: OdeSystem,
     thetas: np.ndarray,
@@ -147,12 +164,12 @@ def rk4_solve_batch(
     step: float,
     t0: Optional[float] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate a (B, k) batch; returns (states (B, n, m), ok (B,))."""
-    thetas = np.asarray(thetas, dtype=float)
+    """Integrate a (B, k) batch from x0s, (B, m) or a shared (m,); returns
+    (states (B, n, m), ok (B,))."""
     times, start = _grid(times, step, t0)
-    B = thetas.shape[0]
-    y = np.broadcast_to(np.asarray(x0s, dtype=float), (B, system.dim)).copy()
-    ok = np.ones(B, dtype=bool)
+    thetas, x0s = _rows(thetas, x0s)
+    y = x0s.copy()
+    ok = np.ones(len(y), dtype=bool)
     with np.errstate(all="ignore"):
         out = _rk4_march(lambda t, s: system.rhs(t, s, thetas), y, ok, times, start, step)
     return out, ok
@@ -179,14 +196,14 @@ class _HermiteLag:
 
     Holds the (t, y, f) of every completed node.  A lagged time past t0 is
     a cubic Hermite interpolant of the two nodes around it, one at or
-    before t0 comes from the history, and a zero lag gives the current
+    before t0 is the row's initial state, and a zero lag gives the current
     stage state.  Every positive lag is at least one grid step, so a stage
     never reads past the latest completed node.
     """
 
-    def __init__(self, lags, history, start, n_nodes, shape):
+    def __init__(self, lags, x0s, start, n_nodes, shape):
         self.lags = lags  # (B, L): zero, or at least the grid step
-        self.history = history
+        self.x0s = x0s  # (B, m): each row's state up to t0
         self.start = start
         self.rows = [np.nonzero(lags[:, j] > 0)[0] for j in range(lags.shape[1])]
         self.ts = np.empty(n_nodes)
@@ -209,7 +226,7 @@ class _HermiteLag:
         vals = np.empty((rows.size, self.ys.shape[-1]))
         past = tq <= self.start
         if past.any():
-            vals[past] = self.history(tq[past], rows[past])
+            vals[past] = self.x0s[rows[past]]
         if not past.all():
             sel = ~past
             tq, r = tq[sel], rows[sel]
@@ -247,7 +264,7 @@ class _HermiteLag:
 def dde_solve_batch(
     system: DdeSystem,
     thetas: np.ndarray,
-    history_batch: Callable,
+    x0s: np.ndarray,
     times: Sequence[float],
     step: float,
     t0: Optional[float] = None,
@@ -255,30 +272,30 @@ def dde_solve_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 batch integration; returns (states (B, n, m), ok (B,)).
 
-    `history_batch(tq, rows)` supplies pre-t0 states for the given rows at
-    times tq (tq <= t0).  Lags below `lag_floor` (default: `step`) count as
-    zero; the grid step is min(step, lag_floor), so every positive lag spans
-    at least one step.  Rows with a negative lag fail, as do rows whose
-    state blows up; neither affects the other rows, and no row's result
-    depends on which rows share its batch.
+    The arguments are those of `rk4_solve_batch`, plus `lag_floor`.  Each
+    row's history is constant: its state at any time up to t0 is its row of
+    x0s, (B, m) or a shared (m,).  Lags below `lag_floor` (default: `step`)
+    count as zero; the grid step is min(step, lag_floor), so every positive
+    lag spans at least one step.  Rows with a negative lag fail, as do rows
+    whose state blows up; neither affects the other rows, and no row's
+    result depends on which rows share its batch.
     """
     times, start = _grid(times, step, t0)
     floor = float(step if lag_floor is None else lag_floor)
     if floor <= 0:
         raise ValueError("lag_floor must be > 0")
     h = min(step, floor)
-    thetas = np.asarray(thetas, dtype=float)
-    B = thetas.shape[0]
+    thetas, x0s = _rows(thetas, x0s)
     lags = resolve_lags(system, thetas)  # (B, L)
     ok = (lags >= 0.0).all(axis=1)  # anti-causal rows are invalid
     lags[~ok] = 0.0
     lags[lags < floor] = 0.0
 
-    y = np.array(history_batch(np.full(B, start), np.arange(B)), dtype=float)
+    y = x0s.copy()
     y[~ok] = 0.0
     ends = np.concatenate([[start], times[times > start]])
     n_nodes = sum(_substeps(b - a, h) for a, b in zip(ends[:-1], ends[1:]))
-    lag = _HermiteLag(lags, history_batch, start, n_nodes, y.shape)
+    lag = _HermiteLag(lags, x0s, start, n_nodes, y.shape)
     with np.errstate(all="ignore"):
         out = _rk4_march(
             lambda t, s: system.rhs(t, s, lag(t, s), thetas), y, ok, times, start, h, lag.push
@@ -299,8 +316,8 @@ def gillespie(
     t0: float = 0.0,
     max_events: Optional[int] = None,
 ) -> np.ndarray:
-    """Exact stochastic simulation (direct method); returns the (n, m)
-    states at the n record times.
+    """Exact stochastic simulation (direct method); returns the
+    (n, len(x0)) states at the n record times.
 
     State is recorded last-event-carried-forward at each record time.  When
     the total hazard reaches zero the state is held constant (absorption).
@@ -313,18 +330,17 @@ def gillespie(
     if np.any(np.diff(record_times) <= 0):
         raise ValueError("record times must be strictly increasing")
     cap = max_events if max_events is not None else SimOptions().ssa_max_events
-    changes = network.change_matrix()
+    changes = network.stoichiometry
     theta = np.asarray(theta, dtype=float)
 
     n_rec = len(record_times)
-    out = np.empty((n_rec, network.dim))
+    out = np.empty((n_rec, x.size))
     x = x.copy()
     t = float(t0)
     i_rec = 0
     events = 0
     while i_rec < n_rec:
-        a = network.hazards(x, theta)
-        np.clip(a, 0.0, None, out=a)
+        a = np.maximum(network.hazards(x, theta), 0.0)
         a0 = a.sum()
         if a0 <= 0.0 or not np.isfinite(a0):
             break  # absorbed; hold state for all remaining record times
@@ -351,7 +367,7 @@ def gillespie(
 def _resolve_x0(model, thetas: np.ndarray) -> np.ndarray:
     if model.initial_state is not None:
         return np.asarray(model.initial_state(thetas), dtype=float)
-    return np.broadcast_to(np.asarray(model.x0, dtype=float), (thetas.shape[0], model.system.dim))
+    return np.broadcast_to(model.x0, (thetas.shape[0], len(model.species)))
 
 
 def simulate_model_batch(
@@ -377,7 +393,7 @@ def simulate_model_batch(
         if kind == "ode":
             return rk4_solve_batch(model.system, thetas, x0s, times, step, t0=model.t0)
         return dde_solve_batch(
-            model.system, thetas, lambda tq, rows: x0s[rows], times, step,
+            model.system, thetas, x0s, times, step,
             t0=model.t0, lag_floor=model.sim.lag_floor_frac * span,
         )
     if kind == "ssa":
@@ -385,7 +401,7 @@ def simulate_model_batch(
             raise ValueError("stochastic simulation requires an rng")
         x0s = np.round(_resolve_x0(model, thetas))
         B = thetas.shape[0]
-        out = np.empty((B, len(times), model.system.dim))
+        out = np.empty((B, len(times), len(model.species)))
         ok = np.ones(B, dtype=bool)
         for b in range(B):
             try:

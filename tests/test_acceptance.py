@@ -207,7 +207,7 @@ def test_criterion_7_loglik_sse_identity_on_lv():
 def test_criterion_8_solver_suite():
     """RK4 order, delay-solver consistency, exact-sampler moments."""
     # RK4 order on exponential decay
-    decay = simulate.OdeSystem(1, lambda t, s, th: -s)
+    decay = simulate.OdeSystem(lambda t, s, th: -s)
     one_row = np.zeros((1, 1))  # neither system reads a parameter
 
     def err(h):
@@ -217,17 +217,15 @@ def test_criterion_8_solver_suite():
     order = math.log2(err(0.02) / err(0.01))
 
     # zero-lag delay solve agrees with RK4
-    dde = simulate.DdeSystem(1, (0.0,), lambda t, s, lagged, th: -lagged[0])
+    dde = simulate.DdeSystem((0.0,), lambda t, s, lagged, th: -lagged[0])
     times = [0.25, 0.5, 1.0]
-    dstates, _ = simulate.dde_solve_batch(
-        dde, one_row, lambda tq, rows: np.ones((len(tq), 1)), times, step=0.01, t0=0.0
-    )
+    dstates, _ = simulate.dde_solve_batch(dde, one_row, np.array([1.0]), times, step=0.01, t0=0.0)
     rstates, _ = simulate.rk4_solve_batch(decay, one_row, np.array([1.0]), times, step=1e-3, t0=0.0)
     dde_gap = np.abs(dstates - rstates).max()
 
     # pure death: mean of X(1) over 10^4 runs vs 100 e^-1
     rng = task_rng(42)
-    death = simulate.ReactionNetwork(1, ((np.array([-1]), lambda s, th: th[0] * s[0]),))
+    death = simulate.ReactionNetwork([[-1]], lambda s, th: th[0] * s[:1])
     finals = np.array(
         [simulate.gillespie(death, np.array([1.0]), [100], [1.0], rng)[0, 0] for _ in range(10_000)]
     )
@@ -235,7 +233,7 @@ def test_criterion_8_solver_suite():
     death_se = finals.std(ddof=1) / 100.0
 
     # immigration: Poisson dispersion over 10^4 runs
-    imm = simulate.ReactionNetwork(1, ((np.array([1]), lambda s, th: th[0]),))
+    imm = simulate.ReactionNetwork([[1]], lambda s, th: th[:1])
     rng = task_rng(7)
     finals = np.array(
         [simulate.gillespie(imm, np.array([5.0]), [0], [2.0], rng)[0, 0] for _ in range(10_000)]

@@ -191,6 +191,7 @@ def test_simulation_task_input_errors_name_the_line(tmp_path, capsys, task, text
     code = cli.main([task, "--config", cfgp, "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     assert f"run.cfg:{line}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_infer_writes_populations_ledger_and_stamp(tmp_path, lv_dataset):

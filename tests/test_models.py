@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from abcsmc import models
-from abcsmc.core import task_rng
+from abcsmc.core import ConfigError, task_rng
 from abcsmc.distance import sse_many
 from abcsmc.models import (
     DataRecipe,
@@ -19,6 +21,7 @@ from abcsmc.models import (
     sir_sirs,
     tristan_dataset,
 )
+from abcsmc.samplers import _BATCH_BASE
 from abcsmc.simulate import simulate_model_batch
 
 
@@ -124,6 +127,29 @@ def test_repressilator_ssa_hazards_at_zero_state():
     transcription = hazards[0::4]
     assert np.allclose(transcription, 1001.0)
     assert np.allclose(np.delete(hazards, [0, 4, 8]), 0.0)
+
+
+def test_network_hazards_match_per_reaction_reference():
+    # reference: each reaction's propensity written out with scalar
+    # arithmetic; an (m, B) block of states must give the per-state columns
+    rng = np.random.default_rng(0)
+    lv = models.lv_ssa().system.hazards
+    rep = repressilator_ssa().system.hazards
+    prior = models.default_setup("repressilator_ssa").priors[0]
+    states = rng.integers(0, 60, (200, 6)).astype(float)
+    thetas = prior.sample(rng, 200)
+    lv_block, rep_block = lv(states[:, :2].T, thetas[:, :3].T), rep(states.T, thetas.T)
+    for b, (s, th) in enumerate(zip(states.tolist(), thetas.tolist())):
+        assert lv(states[b], thetas[b]).tolist() == [th[0] * s[0], th[1] * s[0] * s[1], th[2] * s[1]]
+        ref = []
+        for i in range(3):
+            j = (i + 2) % 3  # gene i is repressed by protein j
+            m, p, pj = s[2 * i], s[2 * i + 1], s[2 * j + 1]
+            ref += [th[3] / (1.0 + pj ** th[1]) + th[0], m, th[2] * m, th[2] * p]
+        # array and scalar powers may differ in the last bit; values reach 2.5e3
+        assert np.allclose(rep(states[b], thetas[b]), ref, rtol=1e-13, atol=1e-11)
+        assert np.array_equal(lv_block[:, b], lv(states[b, :2], thetas[b, :3]))
+        assert np.array_equal(rep_block[:, b], rep(states[b], thetas[b]))
 
 
 def test_repressilator_ssa_setup_constants():
@@ -252,6 +278,28 @@ def test_zoo_round_trip_by_name():
             sb, okb = simulate_model_batch(b, theta[None, :], times)
             assert oka[0] == okb[0]
             assert np.array_equal(sa, sb)
+
+
+def test_every_model_has_an_engine_and_one_state_column_per_species():
+    tristan = models.default_setup("tristan")
+    priors = {m.name: p for m, p in zip(tristan.models, tristan.priors)}
+    for name in models.MODELS:
+        model = get_model(name)
+        assert model.kind in _BATCH_BASE
+        if model.x0 is not None:
+            x0s = model.x0[None, :]
+        elif model.initial_state is not None:
+            x0s = model.initial_state(priors[name].sample(np.random.default_rng(0), 1))
+        else:
+            continue  # a direct sampler has no state to start from
+        assert x0s.shape == (1, len(model.species)), name
+
+
+def test_model_spec_rejects_x0_of_wrong_length():
+    model = lv_ode()
+    for x0 in ([1.0], [1.0, 0.25, 0.0], [[1.0, 0.25]]):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(model, x0=np.array(x0))
 
 
 def test_unknown_model_name_rejected():

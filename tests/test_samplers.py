@@ -155,8 +155,8 @@ def test_rejection_tracks_simulation_ledger():
     assert len(pop) == 50
 
 
-def test_rejection_acceptance_floor_aborts():
-    cfg = toy_config((1e-9,), n_particles=10, seed=6, acceptance_floor=1e-3)
+def test_rejection_budget_aborts():
+    cfg = toy_config((1e-9,), n_particles=10, seed=6, max_proposals_per_population=10_000)
     with pytest.raises(BudgetExceeded):
         abc_rejection(cfg)
 
@@ -344,7 +344,7 @@ def test_died_out_model_excluded_from_later_populations():
         out = models._mixture_sample(thetas, times, rng)
         return out + 50.0
 
-    far = replace(toy, name="far_toy", system=DirectSampler(1, far_sample))
+    far = replace(toy, name="far_toy", system=DirectSampler(far_sample))
     prior = setup.priors[0]
     kernel = KernelSpec((UniformWalk(1.5),))
     cfg = InferenceConfig(

@@ -21,12 +21,8 @@ from abcsmc.simulate import (
     simulate_model_batch,
 )
 
-EXP_DECAY = OdeSystem(1, lambda t, s, th: -s)
+EXP_DECAY = OdeSystem(lambda t, s, th: -s)
 NO_THETA = np.zeros((1, 1))  # one row for systems that read no parameter
-
-
-def unit_history(tq, rows):
-    return np.ones((len(tq), 1))
 
 
 def exp_err(step):
@@ -77,7 +73,7 @@ def test_rk4_trajectory_times_equal_requested():
 def test_rk4_blowup_raises_simulation_failure():
     # a batch flags the blown row; generating data from it raises
     growth = models.ModelSpec(
-        name="growth", kind="ode", system=OdeSystem(1, lambda t, s, th: s * s),
+        name="growth", system=OdeSystem(lambda t, s, th: s * s),
         param_names=("unused",), species=("x",), observed=(0,), x0=np.array([3.0]),
     )
     with pytest.raises(SimulationFailure):
@@ -85,7 +81,7 @@ def test_rk4_blowup_raises_simulation_failure():
 
 
 def test_rk4_batch_blowup_masks_row_only():
-    growth = OdeSystem(1, lambda t, s, th: th[..., :1] * s * s)
+    growth = OdeSystem(lambda t, s, th: th[..., :1] * s * s)
     thetas = np.array([[1.0], [0.0]])
     states, ok = rk4_solve_batch(growth, thetas, np.array([3.0]), [5.0], step=0.01, t0=0.0)
     assert not ok[0] and ok[1]
@@ -104,25 +100,25 @@ def test_rk4_validates_inputs():
 # ---------------------------------------------------------------------------
 
 def test_dde_zero_lag_matches_rk4():
-    system = DdeSystem(1, (0.0,), lambda t, s, lagged, th: -lagged[0])
+    system = DdeSystem((0.0,), lambda t, s, lagged, th: -lagged[0])
     times = [0.25, 0.5, 1.0, 2.0]
-    states, _ = dde_solve_batch(system, NO_THETA, unit_history, times, step=0.01, t0=0.0)
+    states, _ = dde_solve_batch(system, NO_THETA, np.array([1.0]), times, step=0.01, t0=0.0)
     reference, _ = rk4_solve_batch(EXP_DECAY, NO_THETA, np.array([1.0]), times, step=0.001, t0=0.0)
     assert np.abs(states - reference).max() < 1e-5
 
 
 def test_dde_first_interval_analytic():
     # dx/dt = -x(t-1) with unit history: x(t) = 1 - t on [0, 1]
-    system = DdeSystem(1, (1.0,), lambda t, s, lagged, th: -lagged[0])
-    states, _ = dde_solve_batch(system, NO_THETA, unit_history, [0.25, 0.5, 1.0], step=0.01, t0=0.0)
+    system = DdeSystem((1.0,), lambda t, s, lagged, th: -lagged[0])
+    states, _ = dde_solve_batch(system, NO_THETA, np.array([1.0]), [0.25, 0.5, 1.0], step=0.01, t0=0.0)
     expected = 1.0 - np.array([0.25, 0.5, 1.0])
     assert np.abs(states[0, :, 0] - expected).max() < 1e-9
 
 
 def test_dde_second_interval_analytic():
     # on [1, 2]: x(t) = 1 - t + (t-1)^2 / 2
-    system = DdeSystem(1, (1.0,), lambda t, s, lagged, th: -lagged[0])
-    states, _ = dde_solve_batch(system, NO_THETA, unit_history, [1.5, 2.0], step=0.01, t0=0.0)
+    system = DdeSystem((1.0,), lambda t, s, lagged, th: -lagged[0])
+    states, _ = dde_solve_batch(system, NO_THETA, np.array([1.0]), [1.5, 2.0], step=0.01, t0=0.0)
     t = np.array([1.5, 2.0])
     expected = 1.0 - t + 0.5 * (t - 1.0) ** 2
     # the derivative kink where the delayed term activates sits on a grid
@@ -188,10 +184,10 @@ def test_dde_negative_lag_is_invalid():
 
 
 def test_dde_rejects_bad_step():
-    system = DdeSystem(1, (0.5,), lambda t, s, lagged, th: -lagged[0])
+    system = DdeSystem((0.5,), lambda t, s, lagged, th: -lagged[0])
     for step in (0.0, -0.1):
         with pytest.raises(ValueError):
-            dde_solve_batch(system, NO_THETA, unit_history, [1.0], step=step)
+            dde_solve_batch(system, NO_THETA, np.array([1.0]), [1.0], step=step)
 
 
 def _mixed_batch(name):
@@ -270,11 +266,11 @@ def test_rk4_steps_meet_accuracy_budget(setup_name, index, data_seed, box):
 # ---------------------------------------------------------------------------
 
 def _pure_death():
-    return ReactionNetwork(1, ((np.array([-1]), lambda s, th: th[0] * s[0]),))
+    return ReactionNetwork([[-1]], lambda s, th: th[0] * s[:1])
 
 
 def _immigration():
-    return ReactionNetwork(1, ((np.array([1]), lambda s, th: th[0]),))
+    return ReactionNetwork([[1]], lambda s, th: th[:1])
 
 
 def test_gillespie_pure_death_mean():
@@ -370,7 +366,7 @@ def test_replicate_average_reduces_variance():
     # averaging 3 runs should cut pointwise variance to about a third
     net = _immigration()
     model = models.ModelSpec(
-        name="imm", kind="ssa", system=net, param_names=("rate",),
+        name="imm", system=net, param_names=("rate",),
         species=("x",), observed=(0,), x0=np.array([0.0]),
     )
     theta = np.array([5.0])
